@@ -127,26 +127,6 @@ def injection_phase_at(cfg: DynamicsConfig, t: float) -> float:
     return cfg.injection_detuning * t + cfg.injection_phase
 
 
-def injection_term(cfg: DynamicsConfig, theta_i: float, t: float) -> float:
-    """Per-oscillator injection contribution for the configured variant."""
-    th_inj = injection_phase_at(cfg, t)
-    if cfg.injection_variant is InjectionVariant.DRIVE_ONLY:
-        return -cfg.kappa_s * np.sin(th_inj)
-    if cfg.injection_variant is InjectionVariant.ADLER:
-        return -cfg.kappa_s * np.sin(theta_i - th_inj)
-    return -cfg.kappa_s * np.sin(2.0 * theta_i - th_inj)
-
-
-def coupling_term(
-    inst: IsingInstance, cfg: DynamicsConfig, state: PhaseState, i: int
-) -> float:
-    """-sigma * sum_j J_ij sin(theta_i - theta_j) for a single oscillator."""
-    theta = state.phases
-    if theta.size != inst.n:
-        raise ValueError(f"state length {theta.size} != instance n {inst.n}")
-    return float(-cfg.sigma * inst.couplings[i] @ np.sin(theta[i] - theta))
-
-
 def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
     """Build a vectorized theta' = f(theta, t, out=None) for the configured mode.
 

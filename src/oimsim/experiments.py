@@ -6,23 +6,20 @@ functions of their inputs and results are emitted in canonical order.
 """
 from __future__ import annotations
 
-import hashlib
-import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import DynamicsConfig, Mode
-from .errors import DivergenceError
+from .dynamics import DynamicsConfig, Mode, PhaseState
+from .errors import ConfigError, DivergenceError
 from .integrate import IntegratorConfig, initial_phases, integrate
 from .ising import (
     IsingInstance,
     MaxCutInstance,
     SpinAssignment,
-    cut_value,
-    hamiltonian_energy,
     ising_from_maxcut,
     maxcut_from_ising,
 )
@@ -98,6 +95,9 @@ class ComparisonSummary:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    """Best attempt of a solve.  lock_fraction is the share of completed
+    (not diverged) attempts whose order parameter locked."""
+
     spins: SpinAssignment
     cut: float
     energy: float
@@ -106,12 +106,27 @@ class SolveResult:
     best_seed: int
 
 
-def _map_items(fn: Callable, items: Sequence, threads: int) -> list:
-    """Apply fn over items, optionally on a thread pool; order preserved."""
+def _map_items(fn: Callable, items: Sequence[tuple], threads: int) -> list:
+    """Apply fn to each argument tuple, optionally on a thread pool; order preserved."""
     if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [fn(*args) for args in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*items)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """Everything the drivers read from one seeded run.  A diverged run
+    carries its error, no lock time and NaN observables."""
+
+    lock_time: float | None = None
+    locked: bool = False
+    final_R: float = math.nan
+    final_error: float = math.nan
+    spins: SpinAssignment | None = None
+    energy: float = math.nan
+    cut: float = math.nan
+    error: DivergenceError | None = None
 
 
 def _run_once(
@@ -119,29 +134,32 @@ def _run_once(
     g: MaxCutInstance,
     dyn: DynamicsConfig,
     icfg: IntegratorConfig,
+    init: PhaseState,
     seed: int,
     threshold: float,
     hold_samples: int,
-) -> dict:
-    """Integrate one seeded run and collect its row-level observables."""
-    init = initial_phases(inst.n, seed)
-    run_cfg = replace(icfg, seed=seed)
+) -> _Run:
+    """Integrate one seeded run from init, then detect locking and read it out."""
+    if hold_samples > icfg.n_samples:
+        raise ConfigError(
+            f"lock.hold_samples {hold_samples} is longer than the {icfg.n_samples} "
+            f"samples a run records"
+        )
     try:
-        traj = integrate(inst, dyn, run_cfg, init)
-    except DivergenceError:
-        nan = float("nan")
-        return dict(lock_time=None, final_R=nan, final_error=nan,
-                    final_energy=nan, best_cut=nan, diverged=True)
+        traj = integrate(inst, dyn, replace(icfg, seed=seed), init)
+    except DivergenceError as err:
+        return _Run(error=err)
     traces = compute_traces(traj, inst, dyn)
     report = lock_time(traces, traj.times, threshold, hold_samples)
-    _, energy, cut = score_trajectory(traj, inst, g, dyn)
-    return dict(
+    spins, energy, cut = score_trajectory(traj, inst, g, dyn)
+    return _Run(
         lock_time=report.lock_time,
+        locked=report.locked,
         final_R=float(traces.order_parameter[-1]),
         final_error=float(traces.phase_error[-1]),
-        final_energy=float(energy),
-        best_cut=float(cut),
-        diverged=False,
+        spins=spins,
+        energy=energy,
+        cut=cut,
     )
 
 
@@ -153,34 +171,27 @@ def run_sweep(
 ) -> list[SweepRow]:
     """One row per (grid value, seed, routing mode), in canonical order.
 
-    Distributed and centralized runs for the same (value, seed) start from
-    the same initial phases.  A diverged run yields a row with empty lock
-    time and NaN observables rather than aborting the sweep.
+    Every run with the same seed starts from the same initial phases.  A
+    diverged run yields a row with empty lock time and NaN observables
+    rather than aborting the sweep.
     """
     g = maxcut_from_ising(spec.instance)
-    items = [
+    inits = {seed: initial_phases(spec.instance.n, seed) for seed in spec.seeds}
+    grid = [
         (value, seed, mode)
         for value in spec.values
         for seed in spec.seeds
         for mode in (Mode.CENTRALIZED, Mode.DISTRIBUTED)
     ]
-
-    def work(item) -> SweepRow:
-        value, seed, mode = item
-        dyn = replace(spec.base_dynamics, mode=mode, **{spec.parameter: value})
-        r = _run_once(spec.instance, g, dyn, spec.base_integrator, seed, threshold, hold_samples)
-        return SweepRow(
-            parameter_value=value,
-            seed=seed,
-            mode=mode.value,
-            lock_time=r["lock_time"],
-            final_R=r["final_R"],
-            final_error=r["final_error"],
-            final_energy=r["final_energy"],
-            best_cut=r["best_cut"],
-        )
-
-    rows = _map_items(work, items, threads)
+    runs = _map_items(_run_once, [
+        (spec.instance, g, replace(spec.base_dynamics, mode=mode, **{spec.parameter: value}),
+         spec.base_integrator, inits[seed], seed, threshold, hold_samples)
+        for value, seed, mode in grid
+    ], threads)
+    rows = [
+        SweepRow(value, seed, mode.value, r.lock_time, r.final_R, r.final_error, r.energy, r.cut)
+        for (value, seed, mode), r in zip(grid, runs)
+    ]
     rows.sort(key=lambda r: (r.parameter_value, r.seed, r.mode))
     return rows
 
@@ -210,24 +221,17 @@ def compare_modes(
     if len(seeds) < 10:
         raise ValueError(f"need at least 10 seeds, got {len(seeds)}")
     g = maxcut_from_ising(instance)
-
-    def work(seed: int) -> dict:
-        init = initial_phases(instance.n, seed)
-        fingerprint = hashlib.sha256(init.phases.tobytes()).hexdigest()
-        out = {"seed": seed}
-        for mode in (Mode.DISTRIBUTED, Mode.CENTRALIZED):
-            again = initial_phases(instance.n, seed)
-            assert hashlib.sha256(again.phases.tobytes()).hexdigest() == fingerprint
-            r = _run_once(
-                instance, g, replace(dyn, mode=mode), icfg, seed, threshold, hold_samples
-            )
-            out[mode.value] = r
-        return out
-
-    results = _map_items(work, seeds, threads)
-
-    locks = {m: [r[m]["lock_time"] for r in results] for m in ("distributed", "centralized")}
-    errors = {m: [r[m]["final_error"] for r in results] for m in ("distributed", "centralized")}
+    modes = (Mode.DISTRIBUTED, Mode.CENTRALIZED)
+    inits = [initial_phases(instance.n, seed) for seed in seeds]
+    runs = _map_items(_run_once, [
+        (instance, g, replace(dyn, mode=mode), icfg, init, seed, threshold, hold_samples)
+        for seed, init in zip(seeds, inits)
+        for mode in modes
+    ], threads)
+    # runs alternate distributed, centralized; both of a seed share its init
+    by_mode = {mode.value: runs[k::len(modes)] for k, mode in enumerate(modes)}
+    locks = {m: [r.lock_time for r in rs] for m, rs in by_mode.items()}
+    errors = {m: [r.final_error for r in rs] for m, rs in by_mode.items()}
     non_locking = tuple(
         m for m in ("distributed", "centralized")
         if sum(t is not None for t in locks[m]) < len(seeds) / 2
@@ -275,43 +279,21 @@ def solve(
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     inst = ising_from_maxcut(g)
     seeds = [icfg.seed + k for k in range(attempts)]
-
-    def work(seed: int):
-        init = initial_phases(inst.n, seed)
-        run_cfg = replace(icfg, seed=seed)
-        try:
-            traj = integrate(inst, dyn, run_cfg, init)
-        except DivergenceError as err:
-            return ("diverged", seed, err)
-        traces = compute_traces(traj, inst, dyn)
-        report = lock_time(traces, traj.times, threshold, hold_samples)
-        spins, energy, cut = score_trajectory(traj, inst, g, dyn)
-        return ("ok", seed, spins, energy, cut, report.locked)
-
-    outcomes = _map_items(work, seeds, threads)
-    best = None
-    locked_count = 0
-    completed = 0
-    last_error = None
-    for out in outcomes:
-        if out[0] == "diverged":
-            last_error = out[2]
-            continue
-        _, seed, spins, energy, cut, locked = out
-        completed += 1
-        locked_count += int(locked)
-        if best is None or cut > best[0]:
-            best = (cut, seed, spins, energy)
-    if best is None:
-        raise last_error
-    cut, seed, spins, energy = best
+    runs = _map_items(_run_once, [
+        (inst, g, dyn, icfg, initial_phases(inst.n, seed), seed, threshold, hold_samples)
+        for seed in seeds
+    ], threads)
+    completed = [(seed, r) for seed, r in zip(seeds, runs) if r.error is None]
+    if not completed:
+        raise runs[-1].error
+    best_seed, best = max(completed, key=lambda item: item[1].cut)
     return SolveResult(
-        spins=spins,
-        cut=float(cut),
-        energy=float(energy),
+        spins=best.spins,
+        cut=best.cut,
+        energy=best.energy,
         attempts=attempts,
-        lock_fraction=locked_count / attempts,
-        best_seed=seed,
+        lock_fraction=sum(r.locked for _, r in completed) / len(completed),
+        best_seed=best_seed,
     )
 
 
@@ -346,9 +328,3 @@ def comparison_to_dict(summary: ComparisonSummary) -> dict:
         "non_locking_modes": list(summary.non_locking_modes),
     }
 
-
-def comparison_to_json(summary: ComparisonSummary, config: dict | None = None) -> str:
-    doc = comparison_to_dict(summary)
-    if config is not None:
-        doc["config"] = config
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -37,12 +37,19 @@ class IntegratorConfig:
             raise ValueError(f"dt {self.dt} must be smaller than t_end {self.t_end}")
         if self.t_end / self.dt > MAX_STEPS:
             raise ValueError(f"t_end/dt exceeds the {MAX_STEPS} step guard")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end {self.t_end} must be a multiple of dt {self.dt}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
+
+    @property
+    def n_samples(self) -> int:
+        """Recorded samples per run: t = 0, every record_every steps, and the last step."""
+        return math.ceil(self.n_steps / self.record_every) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +99,8 @@ def integrate(
     icfg: IntegratorConfig,
     init: PhaseState,
 ) -> Trajectory:
-    """Advance the phase state to t_end, recording every record_every steps.
+    """Advance the phase state to t_end, recording every record_every steps
+    and always the final state at t = n_steps * dt.
 
     Raises DivergenceError with the step index if the state ever turns
     non-finite.
@@ -148,6 +156,9 @@ def integrate(
         if (step + 1) % stride == 0:
             samples.append(theta.copy())
             times.append((step + 1) // stride * (stride * dt))
+    if n_steps % stride:
+        samples.append(theta.copy())
+        times.append(n_steps * dt)
 
     return Trajectory(np.array(times), np.array(samples))
 

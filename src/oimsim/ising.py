@@ -124,6 +124,11 @@ def hamiltonian_energy(inst: IsingInstance, s: SpinAssignment) -> float:
     return float(-0.5 * v @ inst.couplings @ v - inst.field @ v)
 
 
+def energies(inst: IsingInstance, spins: np.ndarray) -> np.ndarray:
+    """Ising energy of each row of a (k, n) array of +-1 spins."""
+    return -0.5 * np.einsum("ki,ki->k", spins @ inst.couplings, spins) - spins @ inst.field
+
+
 def cut_value(g: MaxCutInstance, s: SpinAssignment) -> float:
     """Total weight of edges whose endpoints carry opposite spins."""
     v = s.spins
@@ -185,24 +190,24 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
                 spins[:, 1:] = _chunk_spins(idx, n_bits)
         else:
             spins = _chunk_spins(idx, n_bits)
-        return -0.5 * np.einsum("ki,ij,kj->k", spins, inst.couplings, spins) - spins @ inst.field
+        return energies(inst, spins)
 
     chunk = 1 << _CHUNK_BITS
     best_energy = np.inf
     best_index = 0
     for start in range(0, total, chunk):
-        energies = chunk_energies(start, min(start + chunk, total))
-        k = int(np.argmin(energies))
-        if energies[k] < best_energy:
-            best_energy = float(energies[k])
+        e = chunk_energies(start, min(start + chunk, total))
+        k = int(np.argmin(e))
+        if e[k] < best_energy:
+            best_energy = float(e[k])
             best_index = start + k
 
     # second pass counts minimizers; atol only matters for real-valued weights
     atol = 1e-9
     count = 0
     for start in range(0, total, chunk):
-        energies = chunk_energies(start, min(start + chunk, total))
-        count += int(np.count_nonzero(np.abs(energies - best_energy) <= atol))
+        e = chunk_energies(start, min(start + chunk, total))
+        count += int(np.count_nonzero(np.abs(e - best_energy) <= atol))
 
     if pin_first:
         spins = np.ones(inst.n)

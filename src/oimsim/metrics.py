@@ -15,7 +15,14 @@ import numpy as np
 
 from .dynamics import DynamicsConfig, PhaseState
 from .integrate import Trajectory
-from .ising import IsingInstance, MaxCutInstance, SpinAssignment, cut_value, hamiltonian_energy
+from .ising import (
+    IsingInstance,
+    MaxCutInstance,
+    SpinAssignment,
+    cut_value,
+    energies,
+    hamiltonian_energy,
+)
 
 LOCK_THRESHOLD = 0.9
 LOCK_HOLD_SAMPLES = 50
@@ -154,8 +161,7 @@ def compute_traces(
     else:
         refs = 0.5 * mean
     spins = np.where(np.abs(_wrap(thetas - refs[:, None])) <= np.pi / 2.0, 1.0, -1.0)
-    energy = -0.5 * np.einsum("ki,ij,kj->k", spins, inst.couplings, spins) - spins @ inst.field
-    return MetricTraces(r, err, energy)
+    return MetricTraces(r, err, energies(inst, spins))
 
 
 def score_trajectory(

@@ -182,6 +182,23 @@ class TestConfigHandling:
         assert proc.returncode == 2
         assert "sigma" in proc.stderr
 
+    def test_hold_window_longer_than_run_is_rejected_before_integrating(self, tmp_path):
+        cfg = tmp_path / "short.json"
+        cfg.write_text('{"integrator": {"t_end": 0.2}}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "oimsim", "solve", str(TRIANGLE), "--config", str(cfg)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "hold_samples" in proc.stderr
+
+    def test_t_end_off_the_dt_grid_is_rejected(self, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text('{"integrator": {"dt": 0.03, "t_end": 0.1}}')
+        proc = run_cli("solve", TRIANGLE, "--config", cfg)
+        assert proc.returncode == 2
+        assert "multiple of dt" in proc.stderr
+
     def test_solver_failure_exit_code(self, monkeypatch):
         # divergence cannot happen with bounded velocities, so fake it
         import oimsim.cli as cli

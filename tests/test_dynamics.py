@@ -8,12 +8,30 @@ from oimsim import (
     IsingInstance,
     Mode,
     PhaseState,
-    coupling_term,
     injection_phase_at,
-    injection_term,
     potential_energy,
     rhs,
 )
+
+
+def injection_term(cfg: DynamicsConfig, theta_i: float, t: float) -> float:
+    """Reference per-oscillator injection contribution for the configured variant."""
+    th_inj = injection_phase_at(cfg, t)
+    if cfg.injection_variant is InjectionVariant.DRIVE_ONLY:
+        return -cfg.kappa_s * np.sin(th_inj)
+    if cfg.injection_variant is InjectionVariant.ADLER:
+        return -cfg.kappa_s * np.sin(theta_i - th_inj)
+    return -cfg.kappa_s * np.sin(2.0 * theta_i - th_inj)
+
+
+def coupling_term(
+    inst: IsingInstance, cfg: DynamicsConfig, state: PhaseState, i: int
+) -> float:
+    """Reference -sigma * sum_j J_ij sin(theta_i - theta_j) for a single oscillator."""
+    theta = state.phases
+    if theta.size != inst.n:
+        raise ValueError(f"state length {theta.size} != instance n {inst.n}")
+    return float(-cfg.sigma * inst.couplings[i] @ np.sin(theta[i] - theta))
 
 
 def pair(j12=1.0):
@@ -72,6 +90,26 @@ class TestCouplingTerm:
         cfg = DynamicsConfig(sigma=0.0)
         state = PhaseState([0.3, 2.2])
         assert coupling_term(pair(), cfg, state, 0) == 0.0
+
+
+class TestRhsMatchesReferenceTerms:
+    @pytest.mark.parametrize("variant", list(InjectionVariant))
+    @pytest.mark.parametrize("mode", [Mode.COUPLED_ONLY, Mode.DISTRIBUTED])
+    def test_rhs_is_sum_of_per_oscillator_terms(self, mode, variant):
+        inst, rng = random_system(9, seed=11)
+        for _ in range(10):
+            cfg = DynamicsConfig(
+                sigma=rng.uniform(0.1, 2.0), kappa_s=rng.uniform(0.1, 2.0), mode=mode,
+                injection_variant=variant, injection_phase=rng.uniform(-np.pi, np.pi),
+                injection_detuning=rng.uniform(-1.0, 1.0),
+            )
+            state = PhaseState(rng.uniform(-10.0, 10.0, inst.n), rng.uniform(0.0, 20.0))
+            expected = [
+                coupling_term(inst, cfg, state, i)
+                + (injection_term(cfg, state.phases[i], state.time) if cfg.has_injection else 0.0)
+                for i in range(inst.n)
+            ]
+            assert np.max(np.abs(rhs(inst, cfg, state) - expected)) <= 1e-12
 
 
 class TestRhsModes:

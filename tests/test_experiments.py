@@ -1,8 +1,13 @@
 """Sweeps, the paired mode comparison, and the best-of-attempts solver."""
+import importlib
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oimsim import (
+    DivergenceError,
     DynamicsConfig,
     InjectionVariant,
     IntegratorConfig,
@@ -188,3 +193,70 @@ class TestSolve:
         g = MaxCutInstance(n=2, edges=((0, 1, 1.0),))
         with pytest.raises(ValueError):
             solve(g, 0, DynamicsConfig(), short_integrator())
+
+
+class TestDivergedRuns:
+    """Real runs cannot diverge (velocities are bounded), so integrate is
+    faked to diverge for chosen seeds; the error's step names the seed."""
+
+    @pytest.fixture
+    def diverge_for(self, monkeypatch):
+        experiments = importlib.import_module("oimsim.experiments")
+        real = experiments.integrate
+
+        def install(seeds):
+            def integrate(inst, dyn, icfg, init):
+                if icfg.seed in seeds:
+                    raise DivergenceError(icfg.seed)
+                return real(inst, dyn, icfg, init)
+            monkeypatch.setattr(experiments, "integrate", integrate)
+        return install
+
+    def test_solve_returns_best_completed_attempt(self, diverge_for):
+        g = random_instance(8, 0.8, "pm1", seed=5)
+        dyn = DynamicsConfig(noise_amplitude=0.01)
+        icfg = short_integrator()
+        alone = solve(g, 1, dyn, replace(icfg, seed=3))
+        diverge_for({0, 1, 2, 4, 5})
+        result = solve(g, 6, dyn, icfg)
+        assert result.best_seed == 3
+        assert result.cut == alone.cut
+        assert np.array_equal(result.spins.spins, alone.spins.spins)
+
+    def test_lock_fraction_counts_completed_attempts(self, diverge_for):
+        g = MaxCutInstance(n=2, edges=((0, 1, 1.0),))
+        dyn = DynamicsConfig(noise_amplitude=0.01)
+        assert solve(g, 4, dyn, short_integrator()).lock_fraction == 1.0
+        diverge_for({1, 2})
+        result = solve(g, 4, dyn, short_integrator())
+        assert result.attempts == 4
+        assert result.lock_fraction == 1.0
+
+    def test_all_diverged_reraises_last_error(self, diverge_for):
+        g = MaxCutInstance(n=2, edges=((0, 1, 1.0),))
+        diverge_for({0, 1, 2})
+        with pytest.raises(DivergenceError) as exc:
+            solve(g, 3, DynamicsConfig(), short_integrator(), threads=2)
+        assert exc.value.step == 2
+
+    def test_diverged_sweep_rows_are_empty(self, diverge_for):
+        diverge_for({1})
+        spec = SweepSpec(
+            parameter="sigma", values=(1.0,), seeds=(0, 1),
+            base_dynamics=DynamicsConfig(),
+            base_integrator=short_integrator(5.0),
+            instance=reference_instance(),
+        )
+        rows = run_sweep(spec)
+        assert len(rows) == 4
+        for r in rows:
+            observables = (r.final_R, r.final_error, r.final_energy, r.best_cut)
+            if r.seed == 1:
+                assert r.lock_time is None
+                assert all(math.isnan(v) for v in observables)
+            else:
+                assert not any(math.isnan(v) for v in observables)
+        lines = sweep_to_csv("sigma", rows).strip().split("\n")[1:]
+        assert [ln.split(",")[4:] for ln in lines if ln.split(",")[2] == "1"] == [
+            ["", "nan", "nan", "nan", "nan"]
+        ] * 2

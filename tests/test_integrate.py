@@ -172,6 +172,29 @@ class TestConfigAndExport:
         with pytest.raises(ValueError):
             IntegratorConfig(dt=1e-10, t_end=100.0)
 
+    def test_t_end_must_be_a_multiple_of_dt(self):
+        with pytest.raises(ValueError, match=r"t_end 0\.1 .* dt 0\.03"):
+            IntegratorConfig(dt=0.03, t_end=0.1)
+        assert IntegratorConfig(dt=0.005, t_end=4.0).n_steps == 800
+        assert IntegratorConfig(dt=0.01, t_end=1.05).n_steps == 105
+
+    def test_final_step_recorded_off_the_record_grid(self):
+        inst = pair()
+        start = PhaseState([0.1, 2.0])
+        coarse = integrate(inst, DynamicsConfig(), IntegratorConfig(dt=0.01, t_end=1.05), start)
+        fine = integrate(
+            inst, DynamicsConfig(), IntegratorConfig(dt=0.01, t_end=1.05, record_every=1), start
+        )
+        assert coarse.times[-1] == pytest.approx(1.05, abs=1e-12)
+        assert coarse.times[-2] == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(coarse.states[-1], fine.states[-1])
+
+    @pytest.mark.parametrize("t_end, record_every", [(1.0, 25), (1.05, 10), (0.2, 1), (0.2, 50)])
+    def test_n_samples_counts_recorded_rows(self, t_end, record_every):
+        icfg = IntegratorConfig(dt=0.01, t_end=t_end, record_every=record_every)
+        traj = integrate(pair(), DynamicsConfig(), icfg, PhaseState([0.1, 0.2]))
+        assert len(traj.times) == icfg.n_samples
+
     def test_record_grid(self):
         inst = pair()
         icfg = IntegratorConfig(dt=0.01, t_end=1.0, record_every=25)

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oimsim import (
     CapacityError,
@@ -19,6 +21,7 @@ from oimsim import (
     random_instance,
     serialize_graph,
 )
+from oimsim.ising import energies
 
 
 def pair_instance(j12: float) -> IsingInstance:
@@ -27,6 +30,23 @@ def pair_instance(j12: float) -> IsingInstance:
 
 def triangle_graph(w: float = 1.0) -> MaxCutInstance:
     return MaxCutInstance(n=3, edges=((0, 1, w), (0, 2, w), (1, 2, w)))
+
+
+weights = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def graphs(draw):
+    """Random graphs on n <= 12 vertices with real edge weights."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kept = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    return MaxCutInstance(n=n, edges=tuple((i, j, draw(weights)) for i, j in kept))
+
+
+def spin_rows(n: int):
+    rows = st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
+    return st.lists(rows, min_size=1, max_size=8).map(np.array)
 
 
 def all_assignments(n: int):
@@ -64,6 +84,28 @@ class TestHamiltonian:
             a = hamiltonian_energy(inst, SpinAssignment(s))
             b = hamiltonian_energy(inst, SpinAssignment(-s))
             assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestBatchedEnergies:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_rows_match_scalar_energy(self, data):
+        g = data.draw(graphs())
+        field = data.draw(st.lists(weights, min_size=g.n, max_size=g.n))
+        inst = IsingInstance(n=g.n, couplings=ising_from_maxcut(g).couplings, field=field)
+        spins = data.draw(spin_rows(g.n))
+        got = energies(inst, spins)
+        assert got.shape == (len(spins),)
+        for row, e in zip(spins, got):
+            assert abs(e - hamiltonian_energy(inst, SpinAssignment(row))) <= 1e-12
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_zero_field_cut_identity(self, data):
+        g = data.draw(graphs())
+        spins = data.draw(spin_rows(g.n))
+        for row, e in zip(spins, energies(ising_from_maxcut(g), spins)):
+            assert abs(cut_value(g, SpinAssignment(row)) - (g.total_weight - e) / 2.0) <= 1e-12
 
 
 class TestCutValue:
