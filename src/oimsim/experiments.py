@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dynamics import DynamicsConfig, Mode, PhaseState
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
 from .integrate import IntegratorConfig, initial_phases, integrate
 from .ising import (
     IsingInstance,
@@ -23,7 +23,8 @@ from .ising import (
     ising_from_maxcut,
     maxcut_from_ising,
 )
-from .metrics import LOCK_HOLD_SAMPLES, LOCK_THRESHOLD, compute_traces, lock_time, score_trajectory
+from .metrics import (LOCK_HOLD_SAMPLES, LOCK_THRESHOLD, check_lock_params, compute_traces,
+                      lock_time, score_trajectory)
 
 # Fixed bipartition behind the 10-oscillator reference instance.  Cross-pair
 # edges carry weight +1 and within-group edges -1, so the locked two-cluster
@@ -140,11 +141,7 @@ def _run_once(
     hold_samples: int,
 ) -> _Run:
     """Integrate one seeded run from init, then detect locking and read it out."""
-    if hold_samples > icfg.n_samples:
-        raise ConfigError(
-            f"lock.hold_samples {hold_samples} is longer than the {icfg.n_samples} "
-            f"samples a run records"
-        )
+    check_lock_params(threshold, hold_samples, icfg.n_samples)
     try:
         traj = integrate(inst, dyn, replace(icfg, seed=seed), init)
     except DivergenceError as err:

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, TextIO
 
 import numpy as np
@@ -63,6 +63,7 @@ class MaxCutInstance:
 
     n: int
     edges: tuple
+    _arrays: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -82,18 +83,19 @@ class MaxCutInstance:
             seen.add((i, j))
             norm.append((i, j, w))
         object.__setattr__(self, "edges", tuple(norm))
+        i, j, w = zip(*norm) if norm else ((), (), ())
+        arrays = (np.array(i, dtype=int), np.array(j, dtype=int), np.array(w, dtype=float))
+        for arr in arrays:
+            arr.setflags(write=False)
+        object.__setattr__(self, "_arrays", arrays)
 
     @property
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge endpoints and weights as parallel arrays (empty-safe)."""
-        if not self.edges:
-            z = np.zeros(0, dtype=int)
-            return z, z.copy(), np.zeros(0)
-        i, j, w = zip(*self.edges)
-        return np.array(i, dtype=int), np.array(j, dtype=int), np.array(w, dtype=float)
+        """Edge endpoints and weights as read-only parallel arrays, in edge order."""
+        return self._arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +142,9 @@ def cut_value(g: MaxCutInstance, s: SpinAssignment) -> float:
 
 def ising_from_maxcut(g: MaxCutInstance) -> IsingInstance:
     """Map max-cut weights to couplings J_ij = -w_ij with zero field."""
+    i, j, w = g.edge_arrays()
     J = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        J[i, j] = -w
-        J[j, i] = -w
+    J[i, j] = J[j, i] = -w
     return IsingInstance(n=g.n, couplings=J)
 
 
@@ -151,12 +152,9 @@ def maxcut_from_ising(inst: IsingInstance) -> MaxCutInstance:
     """Inverse of ising_from_maxcut. Zero-weight edges are not recoverable."""
     if inst.has_field:
         raise ValueError("only zero-field instances map back to max-cut")
-    edges = []
-    for i in range(inst.n):
-        for j in range(i + 1, inst.n):
-            if inst.couplings[i, j] != 0.0:
-                edges.append((i, j, -inst.couplings[i, j]))
-    return MaxCutInstance(n=inst.n, edges=tuple(edges))
+    i, j = np.nonzero(np.triu(inst.couplings, 1))
+    w = -inst.couplings[i, j]
+    return MaxCutInstance(n=inst.n, edges=tuple(zip(i.tolist(), j.tolist(), w.tolist())))
 
 
 def _chunk_spins(indices: np.ndarray, n_bits: int) -> np.ndarray:

@@ -1,6 +1,13 @@
 """Observables of a run: binary-locking order parameter, phase-lock error,
 lock-time detection, spin readout, and trajectory scoring.
 
+Each observable has one implementation, a kernel over a (k, n) array of
+phase rows: the order parameter, the circular mean direction with the RMS
+lock error, the readout anchor, and the +-1 binarization.  compute_traces
+runs them over a trajectory's recorded samples; order_parameter,
+phase_lock_error and binarize are views of the same kernels on a batch of
+one state.
+
 Both the order parameter and the lock error work on doubled phases
 psi_i = 2 * theta_i, so configurations locked to the two binary phases
 {0, pi} register as perfectly ordered.  The error statistic uses circular
@@ -66,22 +73,41 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
 
 
+def _order_parameters(thetas: np.ndarray) -> np.ndarray:
+    """R of each phase row; rounding overshoot past 1 is clipped away."""
+    return np.minimum(np.abs(np.exp(2.0j * thetas).mean(axis=1)), 1.0)
+
+
+def _circular_stats(thetas: np.ndarray, doubled: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Mean direction (0 where the resultant vanishes) and RMS lock error of
+    the doubled (or raw) phases of each row; a one-phase row has error 0."""
+    angles = np.mod(2.0 * thetas, 2.0 * np.pi) if doubled else thetas
+    k, n = angles.shape
+    s = np.sin(angles).sum(axis=1)
+    c = np.cos(angles).sum(axis=1)
+    means = np.where(np.hypot(c, s) < 1e-12, 0.0, np.arctan2(s, c))
+    if n < 2:
+        return means, np.zeros(k)
+    dev = _wrap(angles - means[:, None])
+    return means, np.sqrt(2.0 / (n - 1) * np.sum(dev**2, axis=1))
+
+
+def _anchors(cfg: DynamicsConfig, doubled_means: np.ndarray) -> np.ndarray:
+    """Readout anchor per row: the injection phase when injection is active,
+    otherwise half the mean direction of the row's doubled phases."""
+    if cfg.has_injection:
+        return np.full(doubled_means.shape, cfg.injection_phase)
+    return 0.5 * doubled_means
+
+
+def _spins(thetas: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """+-1 readout of each phase row against its anchor, ties to +1."""
+    return np.where(np.abs(_wrap(thetas - anchors[:, None])) <= np.pi / 2.0, 1.0, -1.0)
+
+
 def order_parameter(state: PhaseState) -> float:
-    """R = |mean of exp(2j * theta)|, in [0, 1]; 1 means binary locking.
-
-    The magnitude of a mean of unit vectors cannot exceed 1; rounding
-    overshoot is clipped away.
-    """
-    return float(min(np.abs(np.exp(2.0j * state.phases).mean()), 1.0))
-
-
-def circular_mean(angles: np.ndarray) -> float:
-    """Mean direction of angles; 0 when the resultant vanishes."""
-    s = np.sin(angles).sum()
-    c = np.cos(angles).sum()
-    if np.hypot(c, s) < 1e-12:
-        return 0.0
-    return float(np.arctan2(s, c))
+    """R = |mean of exp(2j * theta)|, in [0, 1]; 1 means binary locking."""
+    return float(_order_parameters(state.phases[None])[0])
 
 
 def phase_lock_error(state: PhaseState, doubled: bool = True) -> float:
@@ -94,10 +120,18 @@ def phase_lock_error(state: PhaseState, doubled: bool = True) -> float:
     """
     if state.n < 2:
         raise ValueError("phase_lock_error needs at least two oscillators")
-    psi = np.mod(2.0 * state.phases, 2.0 * np.pi) if doubled else state.phases
-    mean = circular_mean(psi)
-    dev = _wrap(psi - mean)
-    return float(np.sqrt(2.0 / (state.n - 1) * np.sum(dev**2)))
+    return float(_circular_stats(state.phases[None], doubled)[1][0])
+
+
+def check_lock_params(threshold: float, hold_samples: int, n_samples: int) -> None:
+    """Raise ValueError unless 0 < threshold < 1 and 1 <= hold_samples <= n_samples."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"lock.threshold must lie in (0, 1), got {threshold}")
+    if not 1 <= hold_samples <= n_samples:
+        raise ValueError(
+            f"lock.hold_samples must lie in [1, {n_samples}], the samples a run "
+            f"records; got {hold_samples}"
+        )
 
 
 def lock_time(
@@ -107,15 +141,8 @@ def lock_time(
     hold_samples: int = LOCK_HOLD_SAMPLES,
 ) -> LockReport:
     """Earliest sample time where R stays >= threshold for hold_samples samples."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    if hold_samples < 1:
-        raise ValueError(f"hold_samples must be >= 1, got {hold_samples}")
     r = traces.order_parameter
-    if hold_samples > r.size:
-        raise ValueError(
-            f"hold window {hold_samples} longer than trace of {r.size} samples"
-        )
+    check_lock_params(threshold, hold_samples, r.size)
     ok = r >= threshold
     windows = np.lib.stride_tricks.sliding_window_view(ok, hold_samples).all(axis=1)
     hits = np.flatnonzero(windows)
@@ -129,16 +156,7 @@ def binarize(state: PhaseState, reference: float = 0.0) -> SpinAssignment:
 
     A circular distance of exactly pi/2 resolves to +1.
     """
-    d = np.abs(_wrap(state.phases - reference))
-    return SpinAssignment(np.where(d <= np.pi / 2.0, 1.0, -1.0))
-
-
-def binarize_reference(cfg: DynamicsConfig, state: PhaseState) -> float:
-    """Readout anchor: the injection phase when injection is active, otherwise
-    half the circular mean of the doubled phases."""
-    if cfg.has_injection:
-        return cfg.injection_phase
-    return 0.5 * circular_mean(np.mod(2.0 * state.phases, 2.0 * np.pi))
+    return SpinAssignment(_spins(state.phases[None], np.array([reference], dtype=float))[0])
 
 
 def compute_traces(
@@ -146,22 +164,9 @@ def compute_traces(
 ) -> MetricTraces:
     """Order parameter, lock error, and binarized Ising energy per sample."""
     thetas = traj.states
-    z = np.exp(2.0j * thetas)
-    r = np.minimum(np.abs(z.mean(axis=1)), 1.0)
-
-    psi = np.mod(2.0 * thetas, 2.0 * np.pi)
-    s = np.sin(psi).sum(axis=1)
-    c = np.cos(psi).sum(axis=1)
-    mean = np.where(np.hypot(c, s) < 1e-12, 0.0, np.arctan2(s, c))
-    dev = _wrap(psi - mean[:, None])
-    err = np.sqrt(2.0 / (traj.n - 1) * np.sum(dev**2, axis=1)) if traj.n > 1 else np.zeros(r.size)
-
-    if cfg.has_injection:
-        refs = np.full(r.size, cfg.injection_phase)
-    else:
-        refs = 0.5 * mean
-    spins = np.where(np.abs(_wrap(thetas - refs[:, None])) <= np.pi / 2.0, 1.0, -1.0)
-    return MetricTraces(r, err, energies(inst, spins))
+    means, err = _circular_stats(thetas)
+    spins = _spins(thetas, _anchors(cfg, means))
+    return MetricTraces(_order_parameters(thetas), err, energies(inst, spins))
 
 
 def score_trajectory(
@@ -174,8 +179,9 @@ def score_trajectory(
 
     Returns (spins, Ising energy, cut value).
     """
-    final = traj.final_state
-    spins = binarize(final, binarize_reference(cfg, final))
+    final = traj.final_state.phases[None]
+    means, _ = _circular_stats(final)
+    spins = SpinAssignment(_spins(final, _anchors(cfg, means))[0])
     return spins, hamiltonian_energy(inst, spins), cut_value(g, spins)
 
 

@@ -192,6 +192,24 @@ class TestConfigHandling:
         assert proc.returncode == 2
         assert "hold_samples" in proc.stderr
 
+    def test_bad_lock_threshold_is_rejected_before_integrating(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import oimsim.experiments
+        from oimsim import cli
+
+        calls = []
+        real = oimsim.experiments.integrate
+        monkeypatch.setattr(oimsim.experiments, "integrate",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        cfg = tmp_path / "lock.json"
+        cfg.write_text('{"lock": {"threshold": 1.5}}')
+        code = cli.main(["solve", str(TRIANGLE), "--config", str(cfg),
+                         "--attempts", "4", "--threads", "2", "--quiet"])
+        assert code == 2
+        assert "threshold" in capsys.readouterr().err
+        assert calls == []
+
     def test_t_end_off_the_dt_grid_is_rejected(self, tmp_path):
         cfg = tmp_path / "grid.json"
         cfg.write_text('{"integrator": {"dt": 0.03, "t_end": 0.1}}')

@@ -1,6 +1,11 @@
 """Right-hand-side terms, mode composition, and the gradient-flow potential."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oimsim import (
     DynamicsConfig,
@@ -12,6 +17,7 @@ from oimsim import (
     potential_energy,
     rhs,
 )
+from oimsim.dynamics import make_rhs
 
 
 def injection_term(cfg: DynamicsConfig, theta_i: float, t: float) -> float:
@@ -110,6 +116,61 @@ class TestRhsMatchesReferenceTerms:
                 for i in range(inst.n)
             ]
             assert np.max(np.abs(rhs(inst, cfg, state) - expected)) <= 1e-12
+
+
+@st.composite
+def symmetric_systems(draw):
+    """(J, theta, t) with n <= 12, real couplings and unwrapped phases."""
+    n = draw(st.integers(1, 12))
+    upper = np.triu(draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0))), 1)
+    theta = draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    return upper + upper.T, theta, draw(st.floats(0.0, 20.0))
+
+
+def drawn_config(draw, mode, variant):
+    return DynamicsConfig(
+        sigma=draw(st.floats(0.0, 2.0)), kappa_s=draw(st.floats(0.0, 2.0)), mode=mode,
+        injection_variant=variant, injection_phase=draw(st.floats(-np.pi, np.pi)),
+        injection_detuning=draw(st.floats(-1.0, 1.0)),
+    )
+
+
+class TestRhsSymmetries:
+    @settings(deadline=None)
+    @given(data=st.data(), system=symmetric_systems(), case=st.sampled_from([
+        (Mode.COUPLED_ONLY, InjectionVariant.SUBHARMONIC),
+        (Mode.DISTRIBUTED, InjectionVariant.SUBHARMONIC),
+        (Mode.DISTRIBUTED, InjectionVariant.DRIVE_ONLY),
+    ]))
+    def test_gauge_flip_leaves_rhs_unchanged(self, data, system, case):
+        # negating row and column i of J and shifting theta_i by pi is the
+        # spin flip s_i -> -s_i; the coupling sum and the phase-doubled or
+        # phase-free injection terms are invariant under it
+        J, theta, t = system
+        cfg = drawn_config(data.draw, *case)
+        flip = data.draw(arrays(bool, theta.size))
+        d = np.where(flip, -1.0, 1.0)
+        gauged = IsingInstance(n=theta.size, couplings=d[:, None] * J * d[None, :])
+        before = make_rhs(IsingInstance(n=theta.size, couplings=J), cfg)(theta, t)
+        after = make_rhs(gauged, cfg)(theta + np.pi * flip, t)
+        assert np.max(np.abs(after - before)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(data=st.data(), system=symmetric_systems(), mode=st.sampled_from(list(Mode)),
+           variant=st.sampled_from(list(InjectionVariant)))
+    def test_permutation_permutes_rhs(self, data, system, mode, variant):
+        J, theta, t = system
+        n = theta.size
+        cfg = drawn_config(data.draw, mode, variant)
+        freqs = np.zeros(n)
+        if mode is Mode.FREE:
+            freqs = data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+        p = np.array(data.draw(st.permutations(range(n))), dtype=int)
+        before = make_rhs(IsingInstance(n=n, couplings=J),
+                          replace(cfg, natural_freqs=freqs))(theta, t)
+        after = make_rhs(IsingInstance(n=n, couplings=J[np.ix_(p, p)]),
+                         replace(cfg, natural_freqs=freqs[p]))(theta[p], t)
+        assert np.max(np.abs(after - before[p])) <= 1e-12
 
 
 class TestRhsModes:

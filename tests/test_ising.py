@@ -159,10 +159,23 @@ class TestConversion:
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_roundtrip_through_ising(self):
-        g = random_instance(7, 0.7, "uniform", seed=11)
-        back = maxcut_from_ising(ising_from_maxcut(g))
-        assert back.n == g.n
-        assert back.edges == g.edges
+        for weight_set in ("pm1", "uniform"):
+            for seed in (11, 12, 13):
+                g = random_instance(7 + seed, 0.7, weight_set, seed=seed)
+                back = maxcut_from_ising(ising_from_maxcut(g))
+                assert back.n == g.n
+                assert back.edges == g.edges
+
+    @settings(deadline=None)
+    @given(g=graphs())
+    def test_edge_arrays_are_read_only_and_match_edges(self, g):
+        i, j, w = g.edge_arrays()
+        assert (i.dtype.kind, j.dtype.kind, w.dtype) == ("i", "i", np.float64)
+        assert list(zip(i.tolist(), j.tolist(), w.tolist())) == list(g.edges)
+        for arr in (i, j, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
 
 class TestBruteForce:

@@ -1,6 +1,9 @@
 """Order parameter, lock error, lock detection, binarization, and scoring."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oimsim import (
     DynamicsConfig,
@@ -23,6 +26,45 @@ from oimsim import (
     score_trajectory,
     traces_to_csv,
 )
+
+
+def _wrap(x):
+    return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
+
+
+def reference_order_parameter(phases) -> float:
+    """Reference R = |mean of exp(2j * theta)| of one state, clipped to 1."""
+    return float(min(np.abs(np.exp(2.0j * phases).mean()), 1.0))
+
+
+def reference_circular_mean(angles) -> float:
+    """Reference mean direction of angles; 0 when the resultant vanishes."""
+    s = np.sin(angles).sum()
+    c = np.cos(angles).sum()
+    if np.hypot(c, s) < 1e-12:
+        return 0.0
+    return float(np.arctan2(s, c))
+
+
+def reference_lock_error(phases) -> float:
+    """Reference RMS circular deviation of the doubled phases of one state."""
+    psi = np.mod(2.0 * phases, 2.0 * np.pi)
+    dev = _wrap(psi - reference_circular_mean(psi))
+    return float(np.sqrt(2.0 / (phases.size - 1) * np.sum(dev**2)))
+
+
+def reference_anchor(cfg: DynamicsConfig, phases) -> float:
+    """Reference readout anchor: the injection phase, else half the mean
+    direction of the doubled phases."""
+    if cfg.has_injection:
+        return cfg.injection_phase
+    return 0.5 * reference_circular_mean(np.mod(2.0 * phases, 2.0 * np.pi))
+
+
+def reference_binarize(phases, reference: float) -> np.ndarray:
+    """Reference +-1 readout: +1 within pi/2 of the reference, ties to +1."""
+    return np.where(np.abs(_wrap(phases - reference)) <= np.pi / 2.0, 1.0, -1.0)
+
 
 # independently computed: circular mean of doubled phases (0, 0, pi/2) is
 # atan2(1, 2), deviations (-m, -m, pi/2 - m), e = sqrt(sum of squares)
@@ -202,11 +244,9 @@ class TestScoring:
         assert traces.order_parameter.shape == traj.times.shape
         assert np.all(traces.order_parameter <= 1.0)
         assert np.all(traces.phase_error >= 0.0)
-        # spot-check one sample against the scalar implementations
-        k = len(traj.times) // 2
-        state = PhaseState(traj.states[k], traj.times[k])
-        assert traces.order_parameter[k] == pytest.approx(order_parameter(state), abs=1e-12)
-        assert traces.phase_error[k] == pytest.approx(phase_lock_error(state), abs=1e-12)
+        for k, phases in enumerate(traj.states):
+            assert abs(traces.order_parameter[k] - reference_order_parameter(phases)) <= 1e-12
+            assert abs(traces.phase_error[k] - reference_lock_error(phases)) <= 1e-12
 
     def test_traces_csv_header(self):
         r = np.array([0.1, 0.9])
@@ -214,3 +254,41 @@ class TestScoring:
         text = traces_to_csv(np.array([0.0, 1.0]), traces)
         assert text.startswith("t,R,e_theta,energy\n")
         assert len(text.strip().split("\n")) == 3
+
+
+class TestBatchedObservables:
+    """compute_traces and score_trajectory against the one-state references."""
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        mode=st.sampled_from([Mode.DISTRIBUTED, Mode.COUPLED_ONLY]),
+        injection_phase=st.floats(-4.0, 4.0),
+    )
+    def test_rows_match_reference_oracles(self, data, mode, injection_phase):
+        k = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(2, 40))
+        # a quarter-turn grid as well as arbitrary reals, so ties and exact
+        # antiphase pairs are drawn
+        angle = st.one_of(st.floats(-20.0, 20.0), st.integers(-8, 8).map(lambda q: q * np.pi / 2))
+        states = data.draw(arrays(float, (k, n), elements=angle))
+        traj = Trajectory(np.arange(k, dtype=float), states)
+        cfg = DynamicsConfig(mode=mode, injection_phase=injection_phase)
+        g = MaxCutInstance(n=n, edges=tuple((i, i + 1, 1.0) for i in range(n - 1)))
+        inst = ising_from_maxcut(g)
+
+        traces = compute_traces(traj, inst, cfg)
+        for row, phases in enumerate(states):
+            assert abs(traces.order_parameter[row] - reference_order_parameter(phases)) <= 1e-12
+            assert abs(traces.phase_error[row] - reference_lock_error(phases)) <= 1e-12
+            # the one-state views keep the references' bits
+            assert order_parameter(PhaseState(phases)) == reference_order_parameter(phases)
+            assert phase_lock_error(PhaseState(phases)) == reference_lock_error(phases)
+
+        final = states[-1]
+        expected = reference_binarize(final, reference_anchor(cfg, final))
+        spins, energy, cut = score_trajectory(traj, inst, g, cfg)
+        assert np.array_equal(spins.spins, expected)
+        assert np.array_equal(binarize(PhaseState(final), reference_anchor(cfg, final)).spins,
+                              expected)
+        assert cut == cut_value(g, SpinAssignment(expected))
