@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ from .errors import CapacityError, ConfigError, DivergenceError, GraphParseError
 from .experiments import (
     SweepSpec,
     compare_modes,
-    comparison_to_dict,
     reference_graph,
     run_sweep,
     solve,
@@ -124,23 +124,16 @@ def load_effective_config(
     return cfg, config_dir
 
 
-def _build_dynamics(cfg: dict) -> DynamicsConfig:
+def _build(cfg: dict, section: str, cls):
+    """cls(**cfg[section]), a bad entry reported as a ConfigError."""
     try:
-        return DynamicsConfig(**cfg["dynamics"])
+        return cls(**cfg[section])
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid dynamics config: {err}") from err
-
-
-def _build_integrator(cfg: dict) -> IntegratorConfig:
-    try:
-        return IntegratorConfig(**cfg["integrator"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid integrator config: {err}") from err
+        raise ConfigError(f"invalid {section} config: {err}") from err
 
 
 def _lock_params(cfg: dict) -> tuple[float, int]:
-    lock = cfg["lock"]
-    return float(lock["threshold"]), int(lock["hold_samples"])
+    return float(cfg["lock"]["threshold"]), cfg["lock"]["hold_samples"]
 
 
 def _load_graph_file(path: str | Path) -> MaxCutInstance:
@@ -177,7 +170,11 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _threads(value: int) -> int:
+def _threads(text: str) -> int:
+    """--threads value: a count >= 0, with 0 meaning one thread per CPU."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return os.cpu_count() or 1 if value == 0 else value
 
 
@@ -205,7 +202,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON run configuration (default: built-in defaults)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the base integrator seed (default: from config)")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_threads, default=1,
                         help="worker threads, 0 = auto")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress informational messages on stderr")
@@ -272,13 +269,13 @@ def cmd_solve(args) -> int:
         cfg["integrator"]["seed"] = args.seed
     cfg["graph"] = str(args.graph)
     g = _load_graph_file(args.graph)
-    dyn = _build_dynamics(cfg)
-    icfg = _build_integrator(cfg)
+    dyn = _build(cfg, "dynamics", DynamicsConfig)
+    icfg = _build(cfg, "integrator", IntegratorConfig)
     threshold, hold = _lock_params(cfg)
     try:
         result = solve(
             g, cfg["solve"]["attempts"], dyn, icfg,
-            threshold=threshold, hold_samples=hold, threads=_threads(args.threads),
+            threshold=threshold, hold_samples=hold, threads=args.threads,
         )
     except DivergenceError as err:
         print(f"oimsim solve: all attempts diverged: {err}", file=sys.stderr)
@@ -316,13 +313,13 @@ def cmd_sweep(args) -> int:
         parameter=cfg["sweep"]["parameter"],
         values=tuple(cfg["sweep"]["values"]),
         seeds=tuple(cfg["sweep"]["seeds"]),
-        base_dynamics=_build_dynamics(cfg),
-        base_integrator=_build_integrator(cfg),
+        base_dynamics=_build(cfg, "dynamics", DynamicsConfig),
+        base_integrator=_build(cfg, "integrator", IntegratorConfig),
         instance=ising_from_maxcut(g),
     )
     threshold, hold = _lock_params(cfg)
     rows = run_sweep(spec, threshold=threshold, hold_samples=hold,
-                     threads=_threads(args.threads))
+                     threads=args.threads)
     echo = _slice_config(cfg, "dynamics", "integrator", "lock", "sweep")
     text = sweep_to_csv(spec.parameter, rows,
                         config_comment=json.dumps(echo, sort_keys=True))
@@ -339,14 +336,14 @@ def cmd_compare(args) -> int:
     threshold, hold = _lock_params(cfg)
     summary = compare_modes(
         ising_from_maxcut(g),
-        _build_dynamics(cfg),
-        _build_integrator(cfg),
+        _build(cfg, "dynamics", DynamicsConfig),
+        _build(cfg, "integrator", IntegratorConfig),
         seeds=cfg["compare"]["seeds"],
         threshold=threshold,
         hold_samples=hold,
-        threads=_threads(args.threads),
+        threads=args.threads,
     )
-    doc = comparison_to_dict(summary)
+    doc = dataclasses.asdict(summary)
     doc["config"] = _slice_config(cfg, "dynamics", "integrator", "lock", "compare")
     _atomic_write(Path(args.out), json.dumps(doc, indent=2, sort_keys=True) + "\n")
     _info(args, f"wrote comparison to {args.out}")

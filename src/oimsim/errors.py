@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of config fields."""
+
+import numbers
 
 
 class GraphParseError(ValueError):
@@ -23,3 +25,9 @@ class DivergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid or unknown entries in a run configuration document."""
+
+
+def check_int(key: str, value) -> None:
+    """Raise ConfigError naming the config key unless value is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")

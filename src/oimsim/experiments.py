@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dynamics import DynamicsConfig, Mode, PhaseState
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError, check_int
 from .integrate import IntegratorConfig, initial_phases, integrate
 from .ising import (
     IsingInstance,
@@ -272,8 +272,9 @@ def solve(
     Ties on the cut value resolve to the lowest attempt seed.  Raises the
     last DivergenceError if every attempt diverges.
     """
+    check_int("solve.attempts", attempts)
     if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
+        raise ConfigError(f"solve.attempts must be >= 1, got {attempts}")
     inst = ising_from_maxcut(g)
     seeds = [icfg.seed + k for k in range(attempts)]
     runs = _map_items(_run_once, [
@@ -310,18 +311,3 @@ def sweep_to_csv(
             f"{float(r.final_energy)!r},{float(r.best_cut)!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def comparison_to_dict(summary: ComparisonSummary) -> dict:
-    return {
-        "median_lock_distributed": summary.median_lock_distributed,
-        "median_lock_centralized": summary.median_lock_centralized,
-        "speedup": summary.speedup,
-        "win_fraction": summary.win_fraction,
-        "median_error_distributed": summary.median_error_distributed,
-        "median_error_centralized": summary.median_error_centralized,
-        "n_seeds": summary.n_seeds,
-        "n_locked_pairs": summary.n_locked_pairs,
-        "non_locking_modes": list(summary.non_locking_modes),
-    }
-

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsConfig, PhaseState, make_rhs
-from .errors import DivergenceError
+from .errors import DivergenceError, check_int
 from .ising import IsingInstance
 
 MAX_STEPS = 10**8
@@ -29,6 +29,8 @@ class IntegratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int("integrator.record_every", self.record_every)
+        check_int("integrator.seed", self.seed)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
@@ -66,6 +68,8 @@ class Trajectory:
             raise ValueError("times and states rows must align")
         if t.size < 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
             raise ValueError("times must start at 0 and be strictly increasing")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("phase rows must be finite")
         t.setflags(write=False)
         x.setflags(write=False)
         object.__setattr__(self, "times", t)

@@ -57,6 +57,39 @@ class IsingInstance:
         return bool(np.any(self.field != 0.0))
 
 
+class _EdgeRuleError(ValueError):
+    """Edge ``index``, in edge order, breaks a max-cut edge rule; ``message(base)``
+    words the rule with the vertices numbered from ``base``."""
+
+    def __init__(self, index: int, template: str, i: int, j: int, n: int):
+        self.index = index
+        self.message = lambda base: template.format(i=i + base, j=j + base, n=n)
+        super().__init__(self.message(0))
+
+
+def _check_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> None:
+    """Raise _EdgeRuleError for the first edge, in edge order, that breaks a
+    max-cut edge rule, naming the first rule it breaks in the order below."""
+    in_range = (0 <= i) & (i < j) & (j < n)
+    # pairs out of range (past int64 too) become (-1, -1): the range rule already
+    # outranks their repeats.  The stable sort lists each pair's first edge first.
+    ii, jj = (np.where(in_range, a, -1).astype(np.int64) for a in (i, j))
+    order = np.lexsort((jj, ii))
+    repeat = np.zeros(i.size, dtype=bool)
+    repeat[order[1:]] = (np.diff(ii[order]) == 0) & (np.diff(jj[order]) == 0)
+    rules = {
+        "self-loop at vertex {i}": i == j,
+        "edge ({i}, {j}) out of range for n={n}": ~in_range,
+        "duplicate edge ({i}, {j})": repeat,
+        "edge ({i}, {j}) has non-finite weight": ~np.isfinite(w),
+    }
+    broken = np.any(list(rules.values()), axis=0)
+    if broken.any():
+        k = int(np.argmax(broken))
+        template = next(t for t, mask in rules.items() if mask[k])
+        raise _EdgeRuleError(k, template, int(i[k]), int(j[k]), n)
+
+
 @dataclass(frozen=True, eq=False)
 class MaxCutInstance:
     """Weighted undirected graph for max-cut, edges stored as (i, j, w) with i < j."""
@@ -68,25 +101,17 @@ class MaxCutInstance:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        seen = set()
-        norm = []
-        for i, j, w in self.edges:
-            i, j, w = int(i), int(j), float(w)
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            if not np.isfinite(w):
-                raise ValueError(f"edge ({i}, {j}) has non-finite weight")
-            seen.add((i, j))
-            norm.append((i, j, w))
-        object.__setattr__(self, "edges", tuple(norm))
-        i, j, w = zip(*norm) if norm else ((), (), ())
-        arrays = (np.array(i, dtype=int), np.array(j, dtype=int), np.array(w, dtype=float))
+        icol, jcol, wcol = tuple(zip(*self.edges, strict=True)) or ((), (), ())
+        try:
+            i, j = (np.array(col, dtype=np.int64) for col in (icol, jcol))
+        except OverflowError:  # such indices can only break the range rule
+            i, j = (np.array(col, dtype=object) for col in (icol, jcol))
+        w = np.array(wcol, dtype=float)
+        _check_edges(self.n, i, j, w)
+        arrays = (i.astype(np.int64, copy=False), j.astype(np.int64, copy=False), w)
         for arr in arrays:
             arr.setflags(write=False)
+        object.__setattr__(self, "edges", tuple(zip(*(arr.tolist() for arr in arrays))))
         object.__setattr__(self, "_arrays", arrays)
 
     @property
@@ -157,12 +182,6 @@ def maxcut_from_ising(inst: IsingInstance) -> MaxCutInstance:
     return MaxCutInstance(n=inst.n, edges=tuple(zip(i.tolist(), j.tolist(), w.tolist())))
 
 
-def _chunk_spins(indices: np.ndarray, n_bits: int) -> np.ndarray:
-    """Decode enumeration indices into +-1 spin rows, bit b -> spin column b."""
-    bits = (indices[:, None] >> np.arange(n_bits)[None, :]) & 1
-    return 1.0 - 2.0 * bits.astype(float)
-
-
 def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float, int]:
     """Exhaustive minimum-energy search.
 
@@ -179,22 +198,18 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
     n_bits = inst.n - 1 if pin_first else inst.n
     total = 1 << n_bits
 
-    def chunk_energies(start: int, stop: int) -> np.ndarray:
-        idx = np.arange(start, stop, dtype=np.int64)
-        if pin_first:
-            spins = np.empty((idx.size, inst.n))
-            spins[:, 0] = 1.0
-            if n_bits:
-                spins[:, 1:] = _chunk_spins(idx, n_bits)
-        else:
-            spins = _chunk_spins(idx, n_bits)
-        return energies(inst, spins)
+    def spin_rows(start: int, stop: int) -> np.ndarray:
+        """+-1 rows of enumeration indices [start, stop), bit b -> the b-th free spin."""
+        bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> np.arange(n_bits)) & 1
+        spins = np.ones((stop - start, inst.n))
+        spins[:, inst.n - n_bits:] = 1.0 - 2.0 * bits
+        return spins
 
     chunk = 1 << _CHUNK_BITS
     best_energy = np.inf
     best_index = 0
     for start in range(0, total, chunk):
-        e = chunk_energies(start, min(start + chunk, total))
+        e = energies(inst, spin_rows(start, min(start + chunk, total)))
         k = int(np.argmin(e))
         if e[k] < best_energy:
             best_energy = float(e[k])
@@ -204,16 +219,10 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
     atol = 1e-9
     count = 0
     for start in range(0, total, chunk):
-        e = chunk_energies(start, min(start + chunk, total))
+        e = energies(inst, spin_rows(start, min(start + chunk, total)))
         count += int(np.count_nonzero(np.abs(e - best_energy) <= atol))
 
-    if pin_first:
-        spins = np.ones(inst.n)
-        if n_bits:
-            spins[1:] = _chunk_spins(np.array([best_index]), n_bits)[0]
-    else:
-        spins = _chunk_spins(np.array([best_index]), n_bits)[0]
-    best = SpinAssignment(spins)
+    best = SpinAssignment(spin_rows(best_index, best_index + 1)[0])
     return best, hamiltonian_energy(inst, best), count
 
 
@@ -222,20 +231,20 @@ def parse_graph(source: str | TextIO | Iterable[str]) -> MaxCutInstance:
 
     First significant line is ``n m``, followed by ``m`` lines ``i j w`` with
     1-indexed vertices ``i < j``.  Lines starting with ``#`` and blank lines
-    are ignored.  Raises GraphParseError with the offending line number.
+    are ignored.  Raises GraphParseError with the offending line number:
+    syntax faults first, then the first edge that breaks a MaxCutInstance
+    edge rule, with its vertices numbered from 1.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    header = None
-    edges = []
-    seen = set()
-    n = m = 0
+    edges, linenos = [], []
+    n, m = 0, None
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if header is None:
+        if m is None:
             if len(parts) != 2:
                 raise GraphParseError("expected header 'n m'", lineno)
             try:
@@ -244,32 +253,24 @@ def parse_graph(source: str | TextIO | Iterable[str]) -> MaxCutInstance:
                 raise GraphParseError("header entries must be integers", lineno) from None
             if n < 1 or m < 0:
                 raise GraphParseError(f"invalid header values n={n} m={m}", lineno)
-            header = (n, m)
             continue
         if len(edges) >= m:
             raise GraphParseError(f"more than {m} edge lines", lineno)
         if len(parts) != 3:
             raise GraphParseError("expected edge line 'i j w'", lineno)
         try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2])
+            edges.append((int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])))
         except ValueError:
             raise GraphParseError("edge entries must be 'int int real'", lineno) from None
-        if not (1 <= i < j <= n):
-            raise GraphParseError(
-                f"edge ({i}, {j}) violates 1 <= i < j <= {n}", lineno
-            )
-        if (i, j) in seen:
-            raise GraphParseError(f"duplicate edge ({i}, {j})", lineno)
-        if not np.isfinite(w):
-            raise GraphParseError("edge weight must be finite", lineno)
-        seen.add((i, j))
-        edges.append((i - 1, j - 1, w))
-    if header is None:
+        linenos.append(lineno)
+    if m is None:
         raise GraphParseError("empty input, expected header 'n m'", 1)
     if len(edges) != m:
         raise GraphParseError(f"header promised {m} edges, found {len(edges)}", lineno)
-    return MaxCutInstance(n=n, edges=tuple(edges))
+    try:
+        return MaxCutInstance(n=n, edges=tuple(edges))
+    except _EdgeRuleError as err:
+        raise GraphParseError(err.message(base=1), linenos[err.index]) from None
 
 
 def serialize_graph(g: MaxCutInstance) -> str:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsConfig, PhaseState
+from .errors import ConfigError, check_int
 from .integrate import Trajectory
 from .ising import (
     IsingInstance,
@@ -124,11 +125,12 @@ def phase_lock_error(state: PhaseState, doubled: bool = True) -> float:
 
 
 def check_lock_params(threshold: float, hold_samples: int, n_samples: int) -> None:
-    """Raise ValueError unless 0 < threshold < 1 and 1 <= hold_samples <= n_samples."""
+    """Raise ConfigError unless 0 < threshold < 1 and hold_samples is an integer in [1, n_samples]."""
     if not 0.0 < threshold < 1.0:
-        raise ValueError(f"lock.threshold must lie in (0, 1), got {threshold}")
+        raise ConfigError(f"lock.threshold must lie in (0, 1), got {threshold}")
+    check_int("lock.hold_samples", hold_samples)
     if not 1 <= hold_samples <= n_samples:
-        raise ValueError(
+        raise ConfigError(
             f"lock.hold_samples must lie in [1, {n_samples}], the samples a run "
             f"records; got {hold_samples}"
         )

@@ -210,6 +210,46 @@ class TestConfigHandling:
         assert "threshold" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("integrator", "record_every", 2.5),
+        ("integrator", "seed", 1.5),
+        ("lock", "hold_samples", 2.5),
+        ("solve", "attempts", 2.5),
+    ])
+    def test_integer_keys_reject_non_integers(
+        self, tmp_path, monkeypatch, capsys, section, key, value
+    ):
+        import oimsim.experiments
+        from oimsim import cli
+
+        calls = []
+        monkeypatch.setattr(oimsim.experiments, "integrate", lambda *a, **k: calls.append(a))
+        for bad in (value, True):
+            cfg = tmp_path / "int.json"
+            cfg.write_text(json.dumps({section: {key: bad}}))
+            code = cli.main(["solve", str(TRIANGLE), "--config", str(cfg), "--quiet"])
+            assert code == 2
+            assert f"{section}.{key} must be an integer" in capsys.readouterr().err
+        assert calls == []
+
+    def test_negative_threads_is_usage_error(self, monkeypatch, capsys):
+        import oimsim.experiments
+        from oimsim import cli
+
+        calls = []
+        monkeypatch.setattr(oimsim.experiments, "integrate", lambda *a, **k: calls.append(a))
+        assert cli.main(["solve", str(TRIANGLE), "--threads", "-3", "--quiet"]) == 64
+        assert "--threads" in capsys.readouterr().err
+        assert calls == []
+
+    def test_zero_threads_means_auto(self):
+        outputs = [
+            run_cli("solve", TRIANGLE, "--attempts", "2", "--threads", threads, "--quiet")
+            for threads in ("1", "0")
+        ]
+        assert [proc.returncode for proc in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout
+
     def test_t_end_off_the_dt_grid_is_rejected(self, tmp_path):
         cfg = tmp_path / "grid.json"
         cfg.write_text('{"integrator": {"dt": 0.03, "t_end": 0.1}}')

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oimsim import (
+    ConfigError,
     DivergenceError,
     DynamicsConfig,
     InjectionVariant,
@@ -193,6 +194,12 @@ class TestSolve:
         g = MaxCutInstance(n=2, edges=((0, 1, 1.0),))
         with pytest.raises(ValueError):
             solve(g, 0, DynamicsConfig(), short_integrator())
+
+    @pytest.mark.parametrize("attempts", [2.5, 2.0, True])
+    def test_attempts_must_be_an_integer(self, attempts):
+        g = MaxCutInstance(n=2, edges=((0, 1, 1.0),))
+        with pytest.raises(ConfigError, match="solve.attempts must be an integer"):
+            solve(g, attempts, DynamicsConfig(), short_integrator())
 
 
 class TestDivergedRuns:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from oimsim import (
+    ConfigError,
     DivergenceError,
     DynamicsConfig,
     IntegratorConfig,
     IsingInstance,
     Mode,
     PhaseState,
+    Trajectory,
     initial_phases,
     integrate,
     potential_energy,
@@ -177,6 +179,19 @@ class TestConfigAndExport:
             IntegratorConfig(dt=0.03, t_end=0.1)
         assert IntegratorConfig(dt=0.005, t_end=4.0).n_steps == 800
         assert IntegratorConfig(dt=0.01, t_end=1.05).n_steps == 105
+
+    @pytest.mark.parametrize("key", ["record_every", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    def test_integer_fields_reject_non_integers(self, key, value):
+        with pytest.raises(ConfigError, match=f"integrator.{key} must be an integer"):
+            IntegratorConfig(dt=0.1, t_end=2.0, **{key: value})
+        assert IntegratorConfig(dt=0.1, t_end=2.0, **{key: np.int64(3)}).n_samples >= 1
+
+    def test_trajectory_rejects_non_finite_phase_rows(self):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory([0, 1], [[np.nan, 0], [0.1, 3.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory([0, 1], [[0.0, 0.0], [np.inf, 3.0]])
 
     def test_final_step_recorded_off_the_record_grid(self):
         inst = pair()

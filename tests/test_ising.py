@@ -44,6 +44,72 @@ def graphs(draw):
     return MaxCutInstance(n=n, edges=tuple((i, j, draw(weights)) for i, j in kept))
 
 
+def reference_validate_edges(n: int, edges) -> tuple:
+    """Per-edge reference for the MaxCutInstance edge rules: the normalised
+    (int, int, float) edges, or ValueError for the first edge that breaks a
+    rule, checked in the order self-loop, range, duplicate, finite weight."""
+    seen = set()
+    norm = []
+    for i, j, w in edges:
+        i, j, w = int(i), int(j), float(w)
+        if i == j:
+            raise ValueError(f"self-loop at vertex {i}")
+        if not (0 <= i < j < n):
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        if not np.isfinite(w):
+            raise ValueError(f"edge ({i}, {j}) has non-finite weight")
+        seen.add((i, j))
+        norm.append((i, j, w))
+    return tuple(norm)
+
+
+BIG_INDICES = [2**63 - 1, 2**63, 2**64, 10**30, -(2**63) - 1, -(10**30)]
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """An edge list on n <= 12 vertices with zero or more faults mixed in:
+    reversed, equal, negative, out-of-range and past-int64 indices, repeated
+    pairs, and NaN or infinite weights.  Indices come as Python or numpy
+    integers, weights as floats or ints."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kept = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(i, j, draw(weights)) for i, j in kept]
+    vertex = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ["reversed", "equal", "negative", "beyond_n", "big", "duplicate", "weight"]))
+        i, j = draw(vertex), draw(vertex)
+        w = draw(weights)
+        if kind == "reversed":
+            i, j = max(i, j), min(i, j)
+        elif kind == "equal":
+            j = i
+        elif kind == "negative":
+            i = draw(st.integers(-3, -1))
+        elif kind == "beyond_n":
+            j = draw(st.integers(n, n + 3))
+        elif kind == "big":
+            i, j = draw(st.sampled_from([(i, None), (None, j), (None, None)]))
+            i, j = (draw(st.sampled_from(BIG_INDICES)) if v is None else v for v in (i, j))
+        elif kind == "duplicate" and edges:
+            i, j, _ = draw(st.sampled_from(edges))
+        elif kind == "weight":
+            w = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        edges.insert(draw(st.integers(0, len(edges))), (i, j, w))
+    mixed = []
+    for i, j, w in edges:
+        if draw(st.booleans()) and max(abs(i), abs(j)) < 2**62:
+            i, j = np.int64(i), np.int64(j)
+        if draw(st.booleans()) and np.isfinite(w):
+            w = round(w)
+        mixed.append((i, j, w))
+    return n, tuple(mixed)
+
+
 def spin_rows(n: int):
     rows = st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
     return st.lists(rows, min_size=1, max_size=8).map(np.array)
@@ -178,6 +244,38 @@ class TestConversion:
                 arr[...] = 0
 
 
+class TestEdgeRules:
+    @settings(max_examples=400, deadline=None)
+    @given(faulty_edge_lists())
+    def test_matches_per_edge_reference(self, case):
+        n, edges = case
+        try:
+            expected = reference_validate_edges(n, edges)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                MaxCutInstance(n=n, edges=edges)
+            assert str(got.value) == str(err)
+        else:
+            g = MaxCutInstance(n=n, edges=edges)
+            assert g.edges == expected
+            assert all(type(i) is int and type(j) is int and type(w) is float
+                       for i, j, w in g.edges)
+
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 1, 1.0), (1, 1, np.nan)), "self-loop at vertex 1"),
+        (((0, 1, 1.0), (2, 1, np.nan)), r"edge \(2, 1\) out of range for n=3"),
+        (((0, 1, 1.0), (0, 1, np.nan)), r"duplicate edge \(0, 1\)"),
+        (((0, 1, 1.0), (1, 2, np.inf), (0, 1, 2.0)), r"edge \(1, 2\) has non-finite weight"),
+    ])
+    def test_first_broken_edge_names_its_first_broken_rule(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            MaxCutInstance(n=3, edges=edges)
+
+    def test_edges_must_be_triples(self):
+        with pytest.raises(ValueError):
+            MaxCutInstance(n=3, edges=((0, 1),))
+
+
 class TestBruteForce:
     def test_two_spins(self):
         best, energy, count = brute_force_ground_state(pair_instance(1.0))
@@ -260,6 +358,31 @@ class TestParseGraph:
     def test_empty_input(self):
         with pytest.raises(GraphParseError):
             parse_graph("")
+
+    @pytest.mark.parametrize("fault", [
+        "1 5 1", "3 1 1", "0 2 1", "2 2 1", "1 2 5", "1 3 inf", "1 3 nan", "1 3 -inf",
+    ])
+    def test_rule_fault_names_its_line(self, fault):
+        # the faulty edge sits on line 6, after comments and a blank line
+        text = f"# a graph\n4 3\n1 2 1\n\n# an edge follows\n{fault}\n3 4 1\n"
+        with pytest.raises(GraphParseError, match="^line 6: ") as err:
+            parse_graph(text)
+        assert err.value.line == 6
+
+    def test_rule_faults_number_vertices_from_one(self):
+        with pytest.raises(GraphParseError, match=r"line 3: duplicate edge \(1, 2\)"):
+            parse_graph("3 2\n1 2 1\n1 2 2")
+        with pytest.raises(GraphParseError, match="line 2: self-loop at vertex 2"):
+            parse_graph("3 1\n2 2 1")
+
+    def test_index_past_int64_is_a_parse_error(self):
+        with pytest.raises(GraphParseError, match="line 2") as err:
+            parse_graph("2 1\n1 99999999999999999999 1")
+        assert err.value.line == 2
+
+    def test_syntax_faults_are_reported_before_rule_faults(self):
+        with pytest.raises(GraphParseError, match="line 4: expected edge line"):
+            parse_graph("3 3\n1 2 1\n1 2 1\n2 3\n")
 
     def test_roundtrip_identity(self):
         for seed in range(4):

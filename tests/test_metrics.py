@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oimsim import (
+    ConfigError,
     DynamicsConfig,
     IntegratorConfig,
     IsingInstance,
@@ -172,6 +173,11 @@ class TestLockTime:
     def test_window_longer_than_trace(self):
         with pytest.raises(ValueError):
             lock_time(make_traces(np.ones(5)), np.arange(5.0), 0.9, 6)
+
+    @pytest.mark.parametrize("hold", [2.5, 2.0, True])
+    def test_hold_samples_must_be_an_integer(self, hold):
+        with pytest.raises(ConfigError, match="lock.hold_samples must be an integer"):
+            lock_time(make_traces(np.ones(5)), np.arange(5.0), 0.9, hold)
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
