@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Time the coupling layer of the phase RHS, path by path.
+
+Run from anywhere, with no options::
+
+    python3 bench/rhs_layer.py
+
+It imports ``oimsim`` from the ``src/`` of the checkout it sits in and, for
+each n in ``SIZES`` and each edge probability in ``DENSITIES``, times one
+call of every coupling path that ``oimsim.dynamics`` has (``_dense_coupling``:
+two BLAS matrix-vector products; ``_sparse_coupling``: a gather over the
+nonzeros and one segment sum per row), each called through the private
+function that makes it, and one call of the full ``make_rhs`` closure,
+which uses the path that ``make_rhs`` picks for that J.  A checkout without
+those functions reports only the closure.  BLAS runs on one thread, as the command line's
+``--threads 1`` and the benchmark in ``perfbench/`` run it.
+
+Each time is the median over ``BLOCKS`` blocks of repeated calls, in
+microseconds per call.  The table goes to standard output, and
+``BENCH_rhs_<commit>.json`` at the root of the checkout records it with the
+commit (``git describe --always --dirty``), the CPU count, and the numpy and
+Python versions.
+"""
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from oimsim import dynamics  # noqa: E402
+from oimsim.dynamics import DynamicsConfig, make_rhs  # noqa: E402
+from oimsim.ising import IsingInstance  # noqa: E402
+
+SIZES = (10, 100, 200, 400, 500, 800, 2000)
+DENSITIES = (0.06, 0.1, 0.125, 0.25, 1.0)
+BLOCKS = 7
+BLOCK_S = 0.02
+SEED = 0
+
+
+def couplings(n: int, density: float, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric +-1 couplings, each pair i < j present with probability density."""
+    upper = np.triu(rng.choice([-1.0, 1.0], (n, n)) * (rng.random((n, n)) < density), 1)
+    return upper + upper.T
+
+
+def per_call_us(call) -> float:
+    """Median microseconds per call over BLOCKS blocks of about BLOCK_S each."""
+    call()
+    start = time.perf_counter()
+    call()
+    reps = max(1, int(BLOCK_S / max(time.perf_counter() - start, 1e-9)))
+    blocks = []
+    for _ in range(BLOCKS):
+        start = time.perf_counter()
+        for _ in range(reps):
+            call()
+        blocks.append((time.perf_counter() - start) / reps)
+    return 1e6 * statistics.median(blocks)
+
+
+def commit() -> str:
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
+def main() -> int:
+    rng = np.random.default_rng(SEED)
+    makers = {name: getattr(dynamics, f"_{name}_coupling", None) for name in ("dense", "sparse")}
+    pick = getattr(dynamics, "_coupling", None)
+    cells = []
+    print(f"{'n':>5} {'density':>8} {'nnz':>8} {'dense_us':>10} {'sparse_us':>10} "
+          f"{'rhs_us':>10}  path")
+    for n in SIZES:
+        for density in DENSITIES:
+            J = couplings(n, density, rng)
+            theta = rng.uniform(0.0, 2.0 * np.pi, n)
+            cos_t, sin_t = np.cos(theta), np.sin(theta)
+            cell = {"n": n, "density": density, "nnz": int(np.count_nonzero(J))}
+            for name, make in makers.items():
+                couple = make(J) if make else None
+                cell[f"{name}_us"] = per_call_us(lambda: couple(cos_t, sin_t)) if couple else None
+            f = make_rhs(IsingInstance(n=n, couplings=J), DynamicsConfig())
+            out = np.empty(n)
+            cell["rhs_us"] = per_call_us(lambda: f(theta, 0.0, out=out))
+            chosen = pick(J).__qualname__.split(".")[0] if pick else "_dense_coupling"
+            cell["path"] = chosen.strip("_").removesuffix("_coupling")
+            cells.append(cell)
+            print(f"{n:>5} {density:>8} {cell['nnz']:>8} "
+                  + " ".join(f"{cell[k]:>10.1f}" if cell[k] is not None else f"{'-':>10}"
+                             for k in ("dense_us", "sparse_us", "rhs_us"))
+                  + f"  {cell['path']}")
+    tag = commit()
+    doc = {
+        "commit": tag,
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "blas_threads": 1,
+        "blocks": BLOCKS,
+        "seed": SEED,
+        "cells": cells,
+    }
+    path = ROOT / f"BENCH_rhs_{tag}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

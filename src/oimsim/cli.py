@@ -133,7 +133,7 @@ def _build(cfg: dict, section: str, cls):
 
 
 def _lock_params(cfg: dict) -> tuple[float, int]:
-    return float(cfg["lock"]["threshold"]), cfg["lock"]["hold_samples"]
+    return cfg["lock"]["threshold"], cfg["lock"]["hold_samples"]
 
 
 def _load_graph_file(path: str | Path) -> MaxCutInstance:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_real
 from .ising import IsingInstance
 
 
@@ -89,11 +90,13 @@ class DynamicsConfig:
         object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "injection_variant", InjectionVariant(self.injection_variant))
         for name in ("sigma", "kappa_s", "noise_amplitude"):
+            check_real(f"dynamics.{name}", getattr(self, name))
             v = float(getattr(self, name))
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
             object.__setattr__(self, name, v)
         for name in ("injection_phase", "injection_detuning"):
+            check_real(f"dynamics.{name}", getattr(self, name))
             v = float(getattr(self, name))
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -127,17 +130,80 @@ def injection_phase_at(cfg: DynamicsConfig, t: float) -> float:
     return cfg.injection_detuning * t + cfg.injection_phase
 
 
+# Constants from bench/rhs_layer.py (one BLAS thread, x86_64): the CSR path
+# costs about as much as the two matvecs at 1/8 filled for n = 800 and 2000,
+# half as much at 6% filled, and more at any fill below about 500
+# oscillators, where J fits in cache and the fixed cost of the gather dominates.
+_SPARSE_FILL_DIVISOR = 8
+_SPARSE_MIN_N = 500
+
+
+def _dense_coupling(J: np.ndarray):
+    """(J cos theta, J sin theta) as two BLAS matrix-vector products."""
+    n = J.shape[0]
+    j_cos = np.empty(n)
+    j_sin = np.empty(n)
+
+    def couple(cos_t: np.ndarray, sin_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        np.matmul(J, cos_t, out=j_cos)
+        np.matmul(J, sin_t, out=j_sin)
+        return j_cos, j_sin
+
+    return couple
+
+
+def _sparse_coupling(J: np.ndarray):
+    """(J cos theta, J sin theta) over the nonzeros of J in row-major (CSR) order.
+
+    A row without neighbours gets one zero-weight entry, so that
+    np.add.reduceat sees one segment per row.
+    """
+    n = J.shape[0]
+    rows, cols = np.nonzero(J)
+    vals = J[rows, cols]
+    lonely = np.flatnonzero(np.bincount(rows, minlength=n) == 0)
+    at = np.searchsorted(rows, lonely)
+    rows = np.insert(rows, at, lonely)
+    cols = np.insert(cols, at, lonely)
+    vals = np.insert(vals, at, 0.0)
+    starts = np.searchsorted(rows, np.arange(n))
+    gathered = np.empty(cols.size)
+    j_cos = np.empty(n)
+    j_sin = np.empty(n)
+
+    def couple(cos_t: np.ndarray, sin_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        for x, result in ((cos_t, j_cos), (sin_t, j_sin)):
+            np.take(x, cols, out=gathered, mode="clip")
+            np.multiply(gathered, vals, out=gathered)
+            np.add.reduceat(gathered, starts, out=result)
+        return j_cos, j_sin
+
+    return couple
+
+
+def _coupling(J: np.ndarray):
+    """The coupling path for J: CSR when J is large and sparse, dense otherwise."""
+    n = J.shape[0]
+    if n >= _SPARSE_MIN_N and np.count_nonzero(J) * _SPARSE_FILL_DIVISOR <= n * n:
+        return _sparse_coupling(J)
+    return _dense_coupling(J)
+
+
 def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
     """Build a vectorized theta' = f(theta, t, out=None) for the configured mode.
 
     The coupling sum uses the identity
     sum_j J_ij sin(theta_i - theta_j) = sin(theta_i) (J cos theta)_i
                                       - cos(theta_i) (J sin theta)_i,
-    which keeps every evaluation at two matrix-vector products.  The returned
+    so every evaluation needs J cos theta and J sin theta.  With at least
+    500 oscillators and at most one nonzero coupling in eight they come from
+    a gather over the nonzeros of J and one segment sum per row; otherwise
+    from two matrix-vector products.  The two paths agree to rounding, not
+    bit for bit.  The returned
     closure reuses internal work buffers, so a single instance must not be
     called concurrently; build one per integration run.
     """
-    J = inst.couplings
+    couple = _coupling(inst.couplings)
     sigma = cfg.sigma
     kappa = cfg.kappa_s
     mode = cfg.mode
@@ -149,8 +215,6 @@ def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
     n = inst.n
     sin_t = np.empty(n)
     cos_t = np.empty(n)
-    j_cos = np.empty(n)
-    j_sin = np.empty(n)
     work = np.empty(n)
     work2 = np.empty(n)
 
@@ -159,8 +223,7 @@ def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
             out = np.empty(n)
         np.sin(theta, out=sin_t)
         np.cos(theta, out=cos_t)
-        np.matmul(J, cos_t, out=j_cos)
-        np.matmul(J, sin_t, out=j_sin)
+        j_cos, j_sin = couple(cos_t, sin_t)
         np.multiply(sin_t, j_cos, out=out)
         np.multiply(cos_t, j_sin, out=work)
         out -= work

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check of config fields."""
+"""Exception types shared across the package, and the type checks of config fields."""
 
 import numbers
 
@@ -31,3 +31,9 @@ def check_int(key: str, value) -> None:
     """Raise ConfigError naming the config key unless value is an integer (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def check_real(key: str, value) -> None:
+    """Raise ConfigError naming the config key unless value is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a real number, got {value!r}")

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dynamics import DynamicsConfig, Mode, PhaseState
-from .errors import ConfigError, DivergenceError, check_int
+from .errors import ConfigError, DivergenceError, check_int, check_real
 from .integrate import IntegratorConfig, initial_phases, integrate
 from .ising import (
     IsingInstance,
@@ -59,6 +59,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in ("sigma", "kappa_s"):
             raise ValueError(f"sweep parameter must be sigma or kappa_s, got {self.parameter!r}")
+        for v in self.values:
+            check_real("sweep.values", v)
+        for s in self.seeds:
+            check_int("sweep.seeds", s)
         values = tuple(float(v) for v in self.values)
         if not values or any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be non-empty and strictly increasing")
@@ -214,6 +218,8 @@ def compare_modes(
     with fewer than half its runs locked is flagged as non-locking and
     contributes no median lock time.
     """
+    for s in seeds:
+        check_int("compare.seeds", s)
     seeds = [int(s) for s in seeds]
     if len(seeds) < 10:
         raise ValueError(f"need at least 10 seeds, got {len(seeds)}")

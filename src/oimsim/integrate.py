@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsConfig, PhaseState, make_rhs
-from .errors import DivergenceError, check_int
+from .errors import DivergenceError, check_int, check_real
 from .ising import IsingInstance
 
 MAX_STEPS = 10**8
@@ -31,6 +31,8 @@ class IntegratorConfig:
     def __post_init__(self):
         check_int("integrator.record_every", self.record_every)
         check_int("integrator.seed", self.seed)
+        check_real("integrator.dt", self.dt)
+        check_real("integrator.t_end", self.t_end)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsConfig, PhaseState
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .integrate import Trajectory
 from .ising import (
     IsingInstance,
@@ -126,6 +126,7 @@ def phase_lock_error(state: PhaseState, doubled: bool = True) -> float:
 
 def check_lock_params(threshold: float, hold_samples: int, n_samples: int) -> None:
     """Raise ConfigError unless 0 < threshold < 1 and hold_samples is an integer in [1, n_samples]."""
+    check_real("lock.threshold", threshold)
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"lock.threshold must lie in (0, 1), got {threshold}")
     check_int("lock.hold_samples", hold_samples)

@@ -232,6 +232,55 @@ class TestConfigHandling:
             assert f"{section}.{key} must be an integer" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("section, key", [
+        ("dynamics", "sigma"),
+        ("dynamics", "kappa_s"),
+        ("dynamics", "noise_amplitude"),
+        ("dynamics", "injection_phase"),
+        ("dynamics", "injection_detuning"),
+        ("integrator", "dt"),
+        ("integrator", "t_end"),
+        ("lock", "threshold"),
+        ("sweep", "values"),
+    ])
+    def test_real_keys_reject_booleans_and_strings(
+        self, tmp_path, monkeypatch, capsys, section, key
+    ):
+        import oimsim.experiments
+        from oimsim import cli
+
+        calls = []
+        monkeypatch.setattr(oimsim.experiments, "integrate", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "real.json"
+        out = tmp_path / "out.csv"
+        for bad in (True, "0.5"):
+            if section == "sweep":
+                cfg.write_text(json.dumps({"sweep": {"values": [0.1, bad]}}))
+                argv = ["sweep", str(cfg), str(out), "--quiet"]
+            else:
+                cfg.write_text(json.dumps({section: {key: bad}}))
+                argv = ["solve", str(TRIANGLE), "--config", str(cfg), "--quiet"]
+            assert cli.main(argv) == 2
+            assert f"{section}.{key} must be a real number" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_seeds_reject_non_integers(self, tmp_path, monkeypatch, capsys, command):
+        import oimsim.experiments
+        from oimsim import cli
+
+        calls = []
+        monkeypatch.setattr(oimsim.experiments, "integrate", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "seeds.json"
+        out = tmp_path / "out"
+        for bad in (1.5, True):
+            cfg.write_text(json.dumps({command: {"seeds": [*range(9), bad]}}))
+            assert cli.main([command, str(cfg), str(out), "--quiet"]) == 2
+            assert f"{command}.seeds must be an integer" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_negative_threads_is_usage_error(self, monkeypatch, capsys):
         import oimsim.experiments
         from oimsim import cli

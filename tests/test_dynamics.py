@@ -1,5 +1,6 @@
 """Right-hand-side terms, mode composition, and the gradient-flow potential."""
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,19 @@ from oimsim import (
     potential_energy,
     rhs,
 )
+from oimsim import dynamics
 from oimsim.dynamics import make_rhs
+from oimsim.experiments import reference_graph
+from oimsim.integrate import IntegratorConfig, initial_phases, integrate
+from oimsim.ising import ising_from_maxcut, random_instance
+
+COUPLING_PATHS = [dynamics._dense_coupling, dynamics._sparse_coupling]
+
+
+def rhs_via(path, inst: IsingInstance, cfg: DynamicsConfig):
+    """make_rhs with the coupling path forced to the one the given function makes."""
+    with mock.patch.object(dynamics, "_coupling", path):
+        return make_rhs(inst, cfg)
 
 
 def injection_term(cfg: DynamicsConfig, theta_i: float, t: float) -> float:
@@ -119,10 +132,16 @@ class TestRhsMatchesReferenceTerms:
 
 
 @st.composite
-def symmetric_systems(draw):
-    """(J, theta, t) with n <= 12, real couplings and unwrapped phases."""
-    n = draw(st.integers(1, 12))
-    upper = np.triu(draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0))), 1)
+def symmetric_systems(draw, max_n=12):
+    """(J, theta, t) with real couplings, some pairs and some whole rows zero,
+    at fill levels on both sides of the sparse-path threshold."""
+    n = draw(st.integers(1, max_n))
+    density = draw(st.sampled_from([0.0, 0.05, 0.125, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.uniform(-2.0, 2.0, (n, n)) * (rng.random((n, n)) < density), 1)
+    isolated = draw(arrays(bool, n))
+    upper[isolated, :] = 0.0
+    upper[:, isolated] = 0.0
     theta = draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
     return upper + upper.T, theta, draw(st.floats(0.0, 20.0))
 
@@ -147,12 +166,13 @@ class TestRhsSymmetries:
         # spin flip s_i -> -s_i; the coupling sum and the phase-doubled or
         # phase-free injection terms are invariant under it
         J, theta, t = system
+        path = data.draw(st.sampled_from(COUPLING_PATHS))
         cfg = drawn_config(data.draw, *case)
         flip = data.draw(arrays(bool, theta.size))
         d = np.where(flip, -1.0, 1.0)
         gauged = IsingInstance(n=theta.size, couplings=d[:, None] * J * d[None, :])
-        before = make_rhs(IsingInstance(n=theta.size, couplings=J), cfg)(theta, t)
-        after = make_rhs(gauged, cfg)(theta + np.pi * flip, t)
+        before = rhs_via(path, IsingInstance(n=theta.size, couplings=J), cfg)(theta, t)
+        after = rhs_via(path, gauged, cfg)(theta + np.pi * flip, t)
         assert np.max(np.abs(after - before)) <= 1e-12
 
     @settings(deadline=None)
@@ -161,16 +181,82 @@ class TestRhsSymmetries:
     def test_permutation_permutes_rhs(self, data, system, mode, variant):
         J, theta, t = system
         n = theta.size
+        path = data.draw(st.sampled_from(COUPLING_PATHS))
         cfg = drawn_config(data.draw, mode, variant)
         freqs = np.zeros(n)
         if mode is Mode.FREE:
             freqs = data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
         p = np.array(data.draw(st.permutations(range(n))), dtype=int)
-        before = make_rhs(IsingInstance(n=n, couplings=J),
-                          replace(cfg, natural_freqs=freqs))(theta, t)
-        after = make_rhs(IsingInstance(n=n, couplings=J[np.ix_(p, p)]),
-                         replace(cfg, natural_freqs=freqs[p]))(theta[p], t)
+        before = rhs_via(path, IsingInstance(n=n, couplings=J),
+                         replace(cfg, natural_freqs=freqs))(theta, t)
+        after = rhs_via(path, IsingInstance(n=n, couplings=J[np.ix_(p, p)]),
+                        replace(cfg, natural_freqs=freqs[p]))(theta[p], t)
         assert np.max(np.abs(after - before[p])) <= 1e-12
+
+
+class TestCouplingPaths:
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), system=symmetric_systems(max_n=40), mode=st.sampled_from(list(Mode)),
+           variant=st.sampled_from(list(InjectionVariant)))
+    def test_sparse_rhs_equals_dense_rhs(self, data, system, mode, variant):
+        J, theta, t = system
+        n = theta.size
+        cfg = drawn_config(data.draw, mode, variant)
+        if mode is Mode.FREE:
+            cfg = replace(cfg, natural_freqs=data.draw(
+                arrays(float, n, elements=st.floats(-1.0, 1.0))))
+        inst = IsingInstance(n=n, couplings=J)
+        dense = rhs_via(dynamics._dense_coupling, inst, cfg)(theta, t)
+        sparse = rhs_via(dynamics._sparse_coupling, inst, cfg)(theta, t)
+        assert np.max(np.abs(sparse - dense)) <= 1e-12
+
+    def test_path_follows_size_and_fill(self):
+        n = dynamics._SPARSE_MIN_N
+        budget = n * n // dynamics._SPARSE_FILL_DIVISOR  # most nonzeros the sparse path takes
+        rows, cols = np.triu_indices(n, 1)
+        J = np.zeros((n, n))
+        J[rows[:budget // 2], cols[:budget // 2]] = 1.0
+        J += J.T
+        assert np.count_nonzero(J) == budget
+        assert "_sparse_coupling" in dynamics._coupling(J).__qualname__
+        J[rows[budget // 2], cols[budget // 2]] = J[cols[budget // 2], rows[budget // 2]] = 1.0
+        assert "_dense_coupling" in dynamics._coupling(J).__qualname__
+        assert "_dense_coupling" in dynamics._coupling(np.zeros((n - 1, n - 1))).__qualname__
+
+    @pytest.mark.parametrize("inst", [
+        ising_from_maxcut(reference_graph()),
+        random_system(40, seed=5)[0],
+    ], ids=["reference10", "complete40"])
+    def test_complete_graph_rhs_is_bit_equal_to_two_matvecs(self, inst):
+        # bundled studies run on complete graphs; their artifacts depend on
+        # the dense path computing exactly this expression
+        J = inst.couplings
+        rng = np.random.default_rng(9)
+        for mode in (Mode.COUPLED_ONLY, Mode.DISTRIBUTED):
+            cfg = DynamicsConfig(sigma=0.7, kappa_s=0.6, mode=mode, injection_phase=0.3)
+            theta = rng.uniform(-10.0, 10.0, inst.n)
+            s, c = np.sin(theta), np.cos(theta)
+            expected = -0.7 * (s * (J @ c) - c * (J @ s))
+            if mode is Mode.DISTRIBUTED:
+                expected -= 0.6 * np.sin(2.0 * theta - 0.3)
+            assert np.array_equal(make_rhs(inst, cfg)(theta, 0.0), expected)
+
+
+class TestLyapunov:
+    @pytest.mark.parametrize("density", [0.06, 0.5])
+    @pytest.mark.parametrize("mode", [Mode.DISTRIBUTED, Mode.COUPLED_ONLY])
+    def test_potential_never_rises_along_noiseless_rk4(self, mode, density):
+        n = dynamics._SPARSE_MIN_N
+        inst = ising_from_maxcut(random_instance(n, density, "pm1", seed=3))
+        sparse = np.count_nonzero(inst.couplings) * dynamics._SPARSE_FILL_DIVISOR <= n * n
+        assert sparse == (density < 0.1)  # one graph per coupling path
+        cfg = DynamicsConfig(sigma=0.2, kappa_s=0.75, mode=mode)
+        traj = integrate(inst, cfg, IntegratorConfig(dt=0.005, t_end=1.0, record_every=2),
+                         initial_phases(n, 4))
+        energies = np.array([potential_energy(inst, cfg, PhaseState(row, t))
+                             for row, t in zip(traj.states, traj.times)])
+        assert np.max(np.diff(energies)) <= 1e-9 * np.max(np.abs(energies))
+        assert energies[-1] < energies[0] - 1.0
 
 
 class TestRhsModes:
