@@ -99,8 +99,7 @@ def main() -> int:
                 couple = make(J) if make else None
                 cell[f"{name}_us"] = per_call_us(lambda: couple(cos_t, sin_t)) if couple else None
             f = make_rhs(IsingInstance(n=n, couplings=J), DynamicsConfig())
-            out = np.empty(n)
-            cell["rhs_us"] = per_call_us(lambda: f(theta, 0.0, out=out))
+            cell["rhs_us"] = per_call_us(lambda: f(theta, 0.0))
             chosen = pick(J).__qualname__.split(".")[0] if pick else "_dense_coupling"
             cell["path"] = chosen.strip("_").removesuffix("_coupling")
             cells.append(cell)

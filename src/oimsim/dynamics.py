@@ -102,9 +102,11 @@ class DynamicsConfig:
                 raise ValueError(f"{name} must be finite, got {v}")
             object.__setattr__(self, name, v)
         if self.natural_freqs is not None:
+            for v in np.ravel(np.array(self.natural_freqs, dtype=object)):
+                check_real("dynamics.natural_freqs", v)
             w = np.array(self.natural_freqs, dtype=float)
             if w.ndim != 1 or not np.all(np.isfinite(w)):
-                raise ValueError("natural_freqs must be a finite vector")
+                raise ValueError("dynamics.natural_freqs must be a finite vector")
             if np.any(w != 0.0) and self.mode is not Mode.FREE:
                 raise ValueError("nonzero natural frequencies require free mode")
             w.setflags(write=False)
@@ -120,7 +122,7 @@ class DynamicsConfig:
             return np.zeros(n)
         if self.natural_freqs.size != n:
             raise ValueError(
-                f"natural_freqs length {self.natural_freqs.size} != n {n}"
+                f"dynamics.natural_freqs length {self.natural_freqs.size} != n {n}"
             )
         return self.natural_freqs
 
@@ -140,16 +142,7 @@ _SPARSE_MIN_N = 500
 
 def _dense_coupling(J: np.ndarray):
     """(J cos theta, J sin theta) as two BLAS matrix-vector products."""
-    n = J.shape[0]
-    j_cos = np.empty(n)
-    j_sin = np.empty(n)
-
-    def couple(cos_t: np.ndarray, sin_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        np.matmul(J, cos_t, out=j_cos)
-        np.matmul(J, sin_t, out=j_sin)
-        return j_cos, j_sin
-
-    return couple
+    return lambda cos_t, sin_t: (J @ cos_t, J @ sin_t)
 
 
 def _sparse_coupling(J: np.ndarray):
@@ -167,18 +160,16 @@ def _sparse_coupling(J: np.ndarray):
     cols = np.insert(cols, at, lonely)
     vals = np.insert(vals, at, 0.0)
     starts = np.searchsorted(rows, np.arange(n))
+    # reused across calls: a fresh nnz-long gather per call made the
+    # n = 800 Euler-Maruyama step about 18% slower
     gathered = np.empty(cols.size)
-    j_cos = np.empty(n)
-    j_sin = np.empty(n)
 
-    def couple(cos_t: np.ndarray, sin_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        for x, result in ((cos_t, j_cos), (sin_t, j_sin)):
-            np.take(x, cols, out=gathered, mode="clip")
-            np.multiply(gathered, vals, out=gathered)
-            np.add.reduceat(gathered, starts, out=result)
-        return j_cos, j_sin
+    def row_sums(x: np.ndarray) -> np.ndarray:
+        np.take(x, cols, out=gathered, mode="clip")
+        np.multiply(gathered, vals, out=gathered)
+        return np.add.reduceat(gathered, starts)
 
-    return couple
+    return lambda cos_t, sin_t: (row_sums(cos_t), row_sums(sin_t))
 
 
 def _coupling(J: np.ndarray):
@@ -190,7 +181,7 @@ def _coupling(J: np.ndarray):
 
 
 def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
-    """Build a vectorized theta' = f(theta, t, out=None) for the configured mode.
+    """Build a vectorized theta' = f(theta, t) for the configured mode.
 
     The coupling sum uses the identity
     sum_j J_ij sin(theta_i - theta_j) = sin(theta_i) (J cos theta)_i
@@ -199,9 +190,9 @@ def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
     500 oscillators and at most one nonzero coupling in eight they come from
     a gather over the nonzeros of J and one segment sum per row; otherwise
     from two matrix-vector products.  The two paths agree to rounding, not
-    bit for bit.  The returned
-    closure reuses internal work buffers, so a single instance must not be
-    called concurrently; build one per integration run.
+    bit for bit.  Each call returns a fresh array.  On the sparse path the
+    closure reuses one gather buffer, so a single closure must not be called
+    from two threads at once; integrate builds one per run.
     """
     couple = _coupling(inst.couplings)
     sigma = cfg.sigma
@@ -212,22 +203,11 @@ def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
     detuning = cfg.injection_detuning
     phase0 = cfg.injection_phase
 
-    n = inst.n
-    sin_t = np.empty(n)
-    cos_t = np.empty(n)
-    work = np.empty(n)
-    work2 = np.empty(n)
-
-    def f(theta: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty(n)
-        np.sin(theta, out=sin_t)
-        np.cos(theta, out=cos_t)
+    def f(theta: np.ndarray, t: float) -> np.ndarray:
+        sin_t = np.sin(theta)
+        cos_t = np.cos(theta)
         j_cos, j_sin = couple(cos_t, sin_t)
-        np.multiply(sin_t, j_cos, out=out)
-        np.multiply(cos_t, j_sin, out=work)
-        out -= work
-        out *= -sigma
+        out = (sin_t * j_cos - cos_t * j_sin) * -sigma
         if mode is Mode.FREE:
             out += omega
             return out
@@ -237,24 +217,13 @@ def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
         if variant is InjectionVariant.DRIVE_ONLY:
             out -= kappa * math.sin(th_inj)
         elif variant is InjectionVariant.ADLER:
-            np.subtract(theta, th_inj, out=work)
-            np.sin(work, out=work)
-            np.multiply(work, kappa, out=work)
-            out -= work
+            out -= np.sin(theta - th_inj) * kappa
         else:
-            np.multiply(theta, 2.0, out=work)
-            np.subtract(work, th_inj, out=work)
-            np.sin(work, out=work)
-            np.multiply(work, kappa, out=work)
-            out -= work
+            out -= np.sin(theta * 2.0 - th_inj) * kappa
         if mode is Mode.CENTRALIZED:
             # shared-routing artifacts: all-to-all interference (the j = i
             # term vanishes) plus the common drive
-            np.multiply(sin_t, cos_t.sum(), out=work)
-            np.multiply(cos_t, sin_t.sum(), out=work2)
-            np.subtract(work, work2, out=work)
-            np.multiply(work, kappa, out=work)
-            out -= work
+            out -= (sin_t * cos_t.sum() - cos_t * sin_t.sum()) * kappa
             out -= kappa * math.sin(th_inj)
         return out
 
@@ -292,8 +261,9 @@ def potential_energy(inst: IsingInstance, cfg: DynamicsConfig, state: PhaseState
     theta = state.phases
     s = np.sin(theta)
     c = np.cos(theta)
-    # sum_{i != j} J_ij cos(theta_i - theta_j) via the same matvec identity
-    pair_sum = c @ (inst.couplings @ c) + s @ (inst.couplings @ s)
+    # sum_{i != j} J_ij cos(theta_i - theta_j) via the coupling of make_rhs
+    j_cos, j_sin = _coupling(inst.couplings)(c, s)
+    pair_sum = c @ j_cos + s @ j_sin
     e = -0.5 * cfg.sigma * pair_sum
     if kappa:
         e -= 0.5 * kappa * np.sum(np.cos(2.0 * theta - cfg.injection_phase))

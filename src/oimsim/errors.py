@@ -27,10 +27,13 @@ class ConfigError(ValueError):
     """Invalid or unknown entries in a run configuration document."""
 
 
-def check_int(key: str, value) -> None:
-    """Raise ConfigError naming the config key unless value is an integer (not a bool)."""
+def check_int(key: str, value, minimum: int | None = None) -> None:
+    """Raise ConfigError naming the config key unless value is an integer (not a bool)
+    and, when a minimum is given, at least that minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
 
 
 def check_real(key: str, value) -> None:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dynamics import DynamicsConfig, Mode, PhaseState
-from .errors import ConfigError, DivergenceError, check_int, check_real
+from .errors import DivergenceError, check_int, check_real
 from .integrate import IntegratorConfig, initial_phases, integrate
 from .ising import (
     IsingInstance,
@@ -62,7 +62,7 @@ class SweepSpec:
         for v in self.values:
             check_real("sweep.values", v)
         for s in self.seeds:
-            check_int("sweep.seeds", s)
+            check_int("sweep.seeds", s, minimum=0)
         values = tuple(float(v) for v in self.values)
         if not values or any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be non-empty and strictly increasing")
@@ -146,6 +146,7 @@ def _run_once(
 ) -> _Run:
     """Integrate one seeded run from init, then detect locking and read it out."""
     check_lock_params(threshold, hold_samples, icfg.n_samples)
+    dyn.freqs_for(inst.n)  # a natural_freqs length fault is raised before integrating
     try:
         traj = integrate(inst, dyn, replace(icfg, seed=seed), init)
     except DivergenceError as err:
@@ -219,7 +220,7 @@ def compare_modes(
     contributes no median lock time.
     """
     for s in seeds:
-        check_int("compare.seeds", s)
+        check_int("compare.seeds", s, minimum=0)
     seeds = [int(s) for s in seeds]
     if len(seeds) < 10:
         raise ValueError(f"need at least 10 seeds, got {len(seeds)}")
@@ -278,9 +279,7 @@ def solve(
     Ties on the cut value resolve to the lowest attempt seed.  Raises the
     last DivergenceError if every attempt diverges.
     """
-    check_int("solve.attempts", attempts)
-    if attempts < 1:
-        raise ConfigError(f"solve.attempts must be >= 1, got {attempts}")
+    check_int("solve.attempts", attempts, minimum=1)
     inst = ising_from_maxcut(g)
     seeds = [icfg.seed + k for k in range(attempts)]
     runs = _map_items(_run_once, [

@@ -29,8 +29,8 @@ class IntegratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int("integrator.record_every", self.record_every)
-        check_int("integrator.seed", self.seed)
+        check_int("integrator.record_every", self.record_every, minimum=1)
+        check_int("integrator.seed", self.seed, minimum=0)
         check_real("integrator.dt", self.dt)
         check_real("integrator.t_end", self.t_end)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -43,8 +43,6 @@ class IntegratorConfig:
             raise ValueError(f"t_end/dt exceeds the {MAX_STEPS} step guard")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"t_end {self.t_end} must be a multiple of dt {self.dt}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
     @property
     def n_steps(self) -> int:
@@ -118,52 +116,32 @@ def integrate(
     n_steps = icfg.n_steps
     stride = icfg.record_every
 
-    theta = init.phases.copy()
-    samples = [theta.copy()]
+    theta = init.phases
+    samples = [theta]
     times = [0.0]
 
-    n = theta.size
     noisy = dyn.noise_amplitude > 0.0
     if noisy:
         rng = _noise_rng(icfg.seed)
         noise_scale = dyn.noise_amplitude * math.sqrt(dt)
-        drift = np.empty(n)
-    else:
-        k1, k2, k3, k4 = (np.empty(n) for _ in range(4))
-        stage = np.empty(n)
 
     for step in range(n_steps):
         t = step * dt
         if noisy:
-            f(theta, t, out=drift)
-            drift *= dt
-            theta += drift
-            theta += noise_scale * rng.standard_normal(n)
+            theta = theta + f(theta, t) * dt + noise_scale * rng.standard_normal(theta.size)
         else:
-            f(theta, t, out=k1)
-            np.multiply(k1, 0.5 * dt, out=stage)
-            stage += theta
-            f(stage, t + 0.5 * dt, out=k2)
-            np.multiply(k2, 0.5 * dt, out=stage)
-            stage += theta
-            f(stage, t + 0.5 * dt, out=k3)
-            np.multiply(k3, dt, out=stage)
-            stage += theta
-            f(stage, t + dt, out=k4)
-            # theta += (dt/6) * (k1 + 2 k2 + 2 k3 + k4)
-            np.add(k2, k3, out=stage)
-            stage *= 2.0
-            stage += k1
-            stage += k4
-            stage *= dt / 6.0
-            theta += stage
+            k1 = f(theta, t)
+            k2 = f(k1 * (0.5 * dt) + theta, t + 0.5 * dt)
+            k3 = f(k2 * (0.5 * dt) + theta, t + 0.5 * dt)
+            k4 = f(k3 * dt + theta, t + dt)
+            theta = theta + ((k2 + k3) * 2.0 + k1 + k4) * (dt / 6.0)
         if not np.all(np.isfinite(theta)):
             raise DivergenceError(step)
         if (step + 1) % stride == 0:
-            samples.append(theta.copy())
+            samples.append(theta)
             times.append((step + 1) // stride * (stride * dt))
     if n_steps % stride:
-        samples.append(theta.copy())
+        samples.append(theta)
         times.append(n_steps * dt)
 
     return Trajectory(np.array(times), np.array(samples))

@@ -148,7 +148,7 @@ def hamiltonian_energy(inst: IsingInstance, s: SpinAssignment) -> float:
     v = s.spins
     if v.size != inst.n:
         raise ValueError(f"assignment length {v.size} != instance n {inst.n}")
-    return float(-0.5 * v @ inst.couplings @ v - inst.field @ v)
+    return float(energies(inst, v[None])[0])
 
 
 def energies(inst: IsingInstance, spins: np.ndarray) -> np.ndarray:

@@ -281,6 +281,38 @@ class TestConfigHandling:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, doc, flags, message", [
+        ("solve", {"dynamics": {"mode": "free", "natural_freqs": [True, False, True]}}, [],
+         "dynamics.natural_freqs must be a real number"),
+        ("solve", {"dynamics": {"mode": "free", "natural_freqs": ["0.5", "1", "2"]}}, [],
+         "dynamics.natural_freqs must be a real number"),
+        ("solve", {"dynamics": {"mode": "free", "natural_freqs": [0.5, 1.0]}}, [],
+         "dynamics.natural_freqs length 2 != n 3"),
+        ("solve", {}, ["--seed", "-1"], "integrator.seed must be >= 0"),
+        ("sweep", {"sweep": {"seeds": [-2]}}, [], "sweep.seeds must be >= 0"),
+        ("compare", {"compare": {"seeds": [*range(9), -2]}}, [], "compare.seeds must be >= 0"),
+    ], ids=["freqs-bool", "freqs-str", "freqs-length", "seed-flag", "sweep-seeds",
+            "compare-seeds"])
+    def test_config_faults_name_their_key(
+        self, tmp_path, monkeypatch, capsys, command, doc, flags, message
+    ):
+        import oimsim.experiments
+        from oimsim import cli
+
+        calls = []
+        monkeypatch.setattr(oimsim.experiments, "integrate", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        if command == "solve":
+            argv = ["solve", str(TRIANGLE), "--config", str(cfg)]
+        else:
+            argv = [command, str(cfg), str(out)]
+        assert cli.main([*argv, *flags, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_negative_threads_is_usage_error(self, monkeypatch, capsys):
         import oimsim.experiments
         from oimsim import cli

@@ -1,4 +1,6 @@
 """Right-hand-side terms, mode composition, and the gradient-flow potential."""
+import itertools
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -229,17 +231,32 @@ class TestCouplingPaths:
     ], ids=["reference10", "complete40"])
     def test_complete_graph_rhs_is_bit_equal_to_two_matvecs(self, inst):
         # bundled studies run on complete graphs; their artifacts depend on
-        # the dense path computing exactly this expression
+        # the dense path computing exactly these expressions, in this order
         J = inst.couplings
         rng = np.random.default_rng(9)
-        for mode in (Mode.COUPLED_ONLY, Mode.DISTRIBUTED):
-            cfg = DynamicsConfig(sigma=0.7, kappa_s=0.6, mode=mode, injection_phase=0.3)
+        t = 1.3
+        th_inj = 0.2 * t + 0.3
+        for mode, variant in itertools.product(Mode, InjectionVariant):
             theta = rng.uniform(-10.0, 10.0, inst.n)
+            omega = rng.uniform(-1.0, 1.0, inst.n) if mode is Mode.FREE else None
+            cfg = DynamicsConfig(sigma=0.7, kappa_s=0.6, mode=mode, injection_variant=variant,
+                                 natural_freqs=omega, injection_phase=0.3,
+                                 injection_detuning=0.2)
             s, c = np.sin(theta), np.cos(theta)
             expected = -0.7 * (s * (J @ c) - c * (J @ s))
-            if mode is Mode.DISTRIBUTED:
-                expected -= 0.6 * np.sin(2.0 * theta - 0.3)
-            assert np.array_equal(make_rhs(inst, cfg)(theta, 0.0), expected)
+            if mode is Mode.FREE:
+                expected += omega
+            if cfg.has_injection:
+                if variant is InjectionVariant.DRIVE_ONLY:
+                    expected -= 0.6 * math.sin(th_inj)
+                elif variant is InjectionVariant.ADLER:
+                    expected -= 0.6 * np.sin(theta - th_inj)
+                else:
+                    expected -= 0.6 * np.sin(2.0 * theta - th_inj)
+            if mode is Mode.CENTRALIZED:
+                expected -= 0.6 * (s * c.sum() - c * s.sum())
+                expected -= 0.6 * math.sin(th_inj)
+            assert np.array_equal(make_rhs(inst, cfg)(theta, t), expected), (mode, variant)
 
 
 class TestLyapunov:

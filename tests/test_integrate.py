@@ -1,5 +1,6 @@
 """Integration scheme: exactness, convergence order, determinism, noise, export."""
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from oimsim import (
     potential_energy,
     trajectory_to_csv,
 )
+from oimsim import dynamics
+from oimsim.dynamics import make_rhs
+from oimsim.integrate import _noise_rng
 
 
 def pair(j12=1.0):
@@ -29,6 +33,57 @@ def random_system(n, seed):
     J = rng.uniform(-1, 1, (n, n))
     J = np.triu(J, 1)
     return IsingInstance(n=n, couplings=J + J.T)
+
+
+def sparse_system(n, density, seed):
+    rng = np.random.default_rng(seed)
+    J = np.triu(rng.choice([-1.0, 1.0], (n, n)) * (rng.random((n, n)) < density), 1)
+    return IsingInstance(n=n, couplings=J + J.T)
+
+
+def reference_integrate(inst, dyn, icfg, init) -> np.ndarray:
+    """Recorded phase rows of an in-place stepper on the same make_rhs, whose
+    RK4 stages and EM drift accumulate into n-long buffers; integrate must
+    give the same bits."""
+    f = make_rhs(inst, dyn)
+    dt, stride = icfg.dt, icfg.record_every
+    theta = init.phases.copy()
+    rows = [theta.copy()]
+    n = theta.size
+    stage = np.empty(n)
+    noisy = dyn.noise_amplitude > 0.0
+    if noisy:
+        rng = _noise_rng(icfg.seed)
+        noise_scale = dyn.noise_amplitude * math.sqrt(dt)
+    for step in range(icfg.n_steps):
+        t = step * dt
+        if noisy:
+            drift = f(theta, t)
+            drift *= dt
+            theta += drift
+            theta += noise_scale * rng.standard_normal(n)
+        else:
+            k1 = f(theta, t)
+            np.multiply(k1, 0.5 * dt, out=stage)
+            stage += theta
+            k2 = f(stage, t + 0.5 * dt)
+            np.multiply(k2, 0.5 * dt, out=stage)
+            stage += theta
+            k3 = f(stage, t + 0.5 * dt)
+            np.multiply(k3, dt, out=stage)
+            stage += theta
+            k4 = f(stage, t + dt)
+            np.add(k2, k3, out=stage)
+            stage *= 2.0
+            stage += k1
+            stage += k4
+            stage *= dt / 6.0
+            theta += stage
+        if (step + 1) % stride == 0:
+            rows.append(theta.copy())
+    if icfg.n_steps % stride:
+        rows.append(theta.copy())
+    return np.array(rows)
 
 
 class TestInitialPhases:
@@ -115,6 +170,20 @@ class TestDeterminismAndSymmetry:
         assert not np.array_equal(quiet.states, noisy.states)
         assert not np.array_equal(noisy.states, other.states)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["rk4", "em"])
+    @pytest.mark.parametrize("inst", [
+        random_system(10, seed=2),
+        sparse_system(600, 0.06, seed=2),
+    ], ids=["dense10", "sparse600"])
+    def test_same_bits_as_the_buffered_stepper(self, inst, noise):
+        path = dynamics._coupling(inst.couplings).__qualname__
+        assert ("_sparse_coupling" in path) == (inst.n == 600)
+        dyn = DynamicsConfig(sigma=0.5, noise_amplitude=noise)
+        icfg = IntegratorConfig(dt=0.01, t_end=2.0, record_every=7, seed=3)
+        init = initial_phases(inst.n, 3)
+        traj = integrate(inst, dyn, icfg, init)
+        assert np.array_equal(traj.states, reference_integrate(inst, dyn, icfg, init))
+
     def test_global_shift_equivariance(self):
         inst = random_system(5, seed=7)
         dyn = DynamicsConfig(mode=Mode.COUPLED_ONLY, sigma=1.0)
@@ -147,14 +216,11 @@ class TestDivergenceDetection:
         calls = {"n": 0}
 
         def bad_rhs(inst, cfg):
-            def f(theta, t, out=None):
+            def f(theta, t):
                 calls["n"] += 1
                 res = np.zeros_like(theta)
                 if calls["n"] > 8:
                     res[0] = np.nan
-                if out is not None:
-                    out[:] = res
-                    return out
                 return res
             return f
 
