@@ -354,6 +354,9 @@ def cmd_gen(args) -> int:
     if args.n < 2 or not (0.0 < args.density <= 1.0):
         print("oimsim gen: error: need n >= 2 and density in (0, 1]", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        print(f"oimsim gen: error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     g = random_instance(args.n, args.density, args.weights, args.seed)
     _atomic_write(Path(args.out), serialize_graph(g))
     _info(args, f"wrote {args.n} vertices, {len(g.edges)} edges to {args.out}")

@@ -153,7 +153,12 @@ def hamiltonian_energy(inst: IsingInstance, s: SpinAssignment) -> float:
 
 def energies(inst: IsingInstance, spins: np.ndarray) -> np.ndarray:
     """Ising energy of each row of a (k, n) array of +-1 spins."""
-    return -0.5 * np.einsum("ki,ki->k", spins @ inst.couplings, spins) - spins @ inst.field
+    return _quadratic_energies(inst.couplings, inst.field, spins)
+
+
+def _quadratic_energies(J: np.ndarray, h: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """``-spins.J.spins/2 - spins.h`` of each row of ``spins``."""
+    return -0.5 * np.einsum("ki,ki->k", spins @ J, spins) - spins @ h
 
 
 def cut_value(g: MaxCutInstance, s: SpinAssignment) -> float:
@@ -186,44 +191,60 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
     """Exhaustive minimum-energy search.
 
     Enumerates 2^(n-1) assignments with the first spin pinned to +1 when the
-    field is zero (global flip symmetry), all 2^n otherwise.  Returns one
-    minimizer (the lowest enumeration index), its energy, and the number of
-    distinct minimizers, counting each flip pair once in the zero-field case.
+    field is zero (global flip symmetry), all 2^n otherwise; bit b of an
+    enumeration index sets the b-th free spin to -1.  Returns the minimizer
+    with the lowest enumeration index among those within ``atol = 1e-9`` of
+    the minimum energy, its energy, and how many assignments lie within
+    ``atol`` of the minimum, counting each flip pair once in the zero-field
+    case.  ``atol`` only matters for real-valued weights.
+
+    The spins split in two: V, the ``min(n_bits, 16)`` lowest free spins,
+    which vary inside a chunk of 2^|V| indices, and C, the pinned spin and
+    the high bits, which stay constant across a chunk.  The ``(2^|V|, |V|)``
+    block S_V of V-spins and their energies e_V under (J_VV, h_V) are built
+    once; a chunk then costs one ``(2^|V| x |V|)`` matvec, not an
+    O(2^|V| n^2) product:
+    ``e = e_V - S_V (J_VC s_C) + (-s_C.J_CC.s_C / 2 - h_C.s_C)``.  A first
+    pass keeps each chunk's minimum; a second revisits only the chunks whose
+    minimum lies within ``atol`` of the best, and counts there.
     """
     if inst.n > BRUTE_FORCE_MAX_N:
         raise CapacityError(
             f"brute force capped at n={BRUTE_FORCE_MAX_N}, got n={inst.n}"
         )
-    pin_first = not inst.has_field
-    n_bits = inst.n - 1 if pin_first else inst.n
-    total = 1 << n_bits
+    n, J, h = inst.n, inst.couplings, inst.field
+    n_bits = n if inst.has_field else n - 1
+    first = n - n_bits                      # index of the first free spin
+    low = min(n_bits, _CHUNK_BITS)
+    V = np.arange(first, first + low)
+    C = np.r_[0:first, first + low:n]
+    S_V = _bit_spins(np.arange(1 << low), low)
+    e_V = _quadratic_energies(J[np.ix_(V, V)], h[V], S_V)
+    J_VC, J_CC, h_C = J[np.ix_(V, C)], J[np.ix_(C, C)], h[C]
 
-    def spin_rows(start: int, stop: int) -> np.ndarray:
-        """+-1 rows of enumeration indices [start, stop), bit b -> the b-th free spin."""
-        bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> np.arange(n_bits)) & 1
-        spins = np.ones((stop - start, inst.n))
-        spins[:, inst.n - n_bits:] = 1.0 - 2.0 * bits
-        return spins
+    def chunk_energies(c: int) -> np.ndarray:
+        s_C = np.concatenate([np.ones(first), _bit_spins(np.array([c]), n_bits - low)[0]])
+        return e_V - S_V @ (J_VC @ s_C) + _quadratic_energies(J_CC, h_C, s_C[None])[0]
 
-    chunk = 1 << _CHUNK_BITS
-    best_energy = np.inf
-    best_index = 0
-    for start in range(0, total, chunk):
-        e = energies(inst, spin_rows(start, min(start + chunk, total)))
-        k = int(np.argmin(e))
-        if e[k] < best_energy:
-            best_energy = float(e[k])
-            best_index = start + k
-
-    # second pass counts minimizers; atol only matters for real-valued weights
+    chunk_min = np.array([chunk_energies(c).min() for c in range(1 << (n_bits - low))])
+    best_energy = chunk_min.min()
     atol = 1e-9
-    count = 0
-    for start in range(0, total, chunk):
-        e = energies(inst, spin_rows(start, min(start + chunk, total)))
-        count += int(np.count_nonzero(np.abs(e - best_energy) <= atol))
+    best_index, count = None, 0
+    for c in np.flatnonzero(chunk_min - best_energy <= atol):
+        near = np.flatnonzero(chunk_energies(c) - best_energy <= atol)
+        if best_index is None:
+            best_index = (int(c) << low) + int(near[0])
+        count += near.size
 
-    best = SpinAssignment(spin_rows(best_index, best_index + 1)[0])
+    spins = np.ones(n)
+    spins[first:] = _bit_spins(np.array([best_index]), n_bits)[0]
+    best = SpinAssignment(spins)
     return best, hamiltonian_energy(inst, best), count
+
+
+def _bit_spins(index: np.ndarray, width: int) -> np.ndarray:
+    """+-1 rows of enumeration indices, bit b -> column b (set bit -> -1)."""
+    return 1.0 - 2.0 * ((index.astype(np.int64)[:, None] >> np.arange(width)) & 1)
 
 
 def parse_graph(source: str | TextIO | Iterable[str]) -> MaxCutInstance:

@@ -117,6 +117,14 @@ class TestGenCommand:
         proc = run_cli("gen", tmp_path / "x.graph", "--density", "1.5")
         assert proc.returncode == 64
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        from oimsim import cli
+
+        out = tmp_path / "x.graph"
+        assert cli.main(["gen", str(out), "--seed", "-1", "--quiet"]) == 64
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_writes_deterministic_csv(self, tmp_path):

@@ -16,6 +16,7 @@ from oimsim import (
     SweepSpec,
     brute_force_ground_state,
     compare_modes,
+    cut_value,
     ising_from_maxcut,
     random_instance,
     reference_graph,
@@ -200,6 +201,32 @@ class TestSolve:
         g = MaxCutInstance(n=2, edges=((0, 1, 1.0),))
         with pytest.raises(ConfigError, match="solve.attempts must be an integer"):
             solve(g, attempts, DynamicsConfig(), short_integrator())
+
+    def test_against_the_exact_oracle(self):
+        # 24 random graphs, n in 3..10, density 0.3/0.6/1.0, pm1 or uniform(-1, 1)
+        # weights; 4 attempts of t_end 20.  Over 300 graphs of the same draw
+        # (seeds 0-299) this setting hit the optimum on 87.0% and the cut ratio
+        # (1 on a hit) averaged 0.982; resampling 24 of them fell to 15 hits or
+        # a mean ratio of 0.915 once in 1000, which sets both bounds.
+        dyn = DynamicsConfig(noise_amplitude=0.01)
+        icfg = IntegratorConfig(dt=0.01, t_end=20.0, record_every=10)
+        hits, ratios = 0, []
+        for seed in range(1000, 1024):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 11))
+            density = float(rng.choice([0.3, 0.6, 1.0]))
+            g = random_instance(n, density, str(rng.choice(["pm1", "uniform"])), seed=seed)
+            _, ground, _ = brute_force_ground_state(ising_from_maxcut(g))
+            optimum = (g.total_weight - ground) / 2.0
+            result = solve(g, 4, dyn, icfg)
+            assert result.cut == cut_value(g, result.spins)
+            assert abs(result.cut - (g.total_weight - result.energy) / 2.0) <= 1e-9
+            assert result.cut <= optimum + 1e-9
+            hit = abs(result.cut - optimum) <= 1e-9
+            hits += hit
+            ratios.append(1.0 if hit else result.cut / optimum)
+        assert hits >= 15
+        assert np.mean(ratios) >= 0.91
 
 
 class TestDivergedRuns:

@@ -30,6 +30,82 @@ def reference_hamiltonian_energy(inst: IsingInstance, s: SpinAssignment) -> floa
     return float(-0.5 * v @ inst.couplings @ v - inst.field @ v)
 
 
+def enumeration_rows(inst: IsingInstance, start: int, stop: int) -> np.ndarray:
+    """Spin rows of enumeration indices [start, stop): the first spin pinned to
+    +1 without field, and bit b of the index setting the b-th free spin to -1."""
+    n_bits = inst.n if inst.has_field else inst.n - 1
+    bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> np.arange(n_bits)) & 1
+    spins = np.ones((stop - start, inst.n))
+    spins[:, inst.n - n_bits:] = 1.0 - 2.0 * bits
+    return spins
+
+
+def reference_brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float, int]:
+    """Two-pass reference oracle on full spin rows: the minimizer with the
+    lowest enumeration index among the minimal computed energies, its
+    energy, and the number of assignments within 1e-9 of that energy."""
+    total = 1 << (inst.n if inst.has_field else inst.n - 1)
+    chunk = 1 << 16
+    best_energy = np.inf
+    best_index = 0
+    for start in range(0, total, chunk):
+        e = energies(inst, enumeration_rows(inst, start, min(start + chunk, total)))
+        k = int(np.argmin(e))
+        if e[k] < best_energy:
+            best_energy = float(e[k])
+            best_index = start + k
+
+    atol = 1e-9
+    count = 0
+    for start in range(0, total, chunk):
+        e = energies(inst, enumeration_rows(inst, start, min(start + chunk, total)))
+        count += int(np.count_nonzero(np.abs(e - best_energy) <= atol))
+
+    best = SpinAssignment(enumeration_rows(inst, best_index, best_index + 1)[0])
+    return best, hamiltonian_energy(inst, best), count
+
+
+def enumeration_index(inst: IsingInstance, s: SpinAssignment) -> int:
+    n_bits = inst.n if inst.has_field else inst.n - 1
+    free = s.spins[inst.n - n_bits:]
+    return sum(1 << b for b in range(n_bits) if free[b] == -1.0)
+
+
+def assert_lowest_index_within_atol(inst: IsingInstance, best: SpinAssignment, ground: float):
+    """``best`` is the first assignment, in enumeration order, whose energy lies
+    within 1e-9 of ``ground``."""
+    if not inst.has_field:
+        assert best.spins[0] == 1.0
+    k = enumeration_index(inst, best)
+    e = energies(inst, enumeration_rows(inst, 0, k + 1))
+    assert abs(e[k] - ground) <= 1e-9
+    assert np.all(e[:k] - ground > 1e-9)
+
+
+def seeded_instance(n: int, seed: int, integer: bool, with_field: bool) -> IsingInstance:
+    """Random couplings of random fill on n spins: integers in [-3, 3] or reals
+    in [-1, 1], with a field of the same kind or none."""
+    rng = np.random.default_rng(seed)
+    mask = np.triu(rng.random((n, n)) < rng.uniform(0.2, 1.0), 1)
+    if integer:
+        W = rng.integers(-3, 4, (n, n)).astype(float)
+        h = rng.integers(-2, 3, n).astype(float)
+    else:
+        W, h = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, n)
+    J = np.where(mask, W, 0.0)
+    return IsingInstance(n=n, couplings=J + J.T, field=h if with_field else None)
+
+
+def complete_instance(n: int, w: float) -> IsingInstance:
+    return ising_from_maxcut(MaxCutInstance(
+        n=n, edges=tuple((i, j, w) for i in range(n) for j in range(i + 1, n))))
+
+
+def ring_instance(n: int, w: float) -> IsingInstance:
+    edges = ((0, n - 1, w),) + tuple((i, i + 1, w) for i in range(n - 1))
+    return ising_from_maxcut(MaxCutInstance(n=n, edges=edges))
+
+
 def pair_instance(j12: float) -> IsingInstance:
     return IsingInstance(n=2, couplings=[[0.0, j12], [j12, 0.0]])
 
@@ -325,6 +401,60 @@ class TestBruteForce:
         _, energy, _ = brute_force_ground_state(inst)
         expected = min(hamiltonian_energy(inst, s) for s in all_assignments(5))
         assert energy == pytest.approx(expected, abs=1e-12)
+
+
+def assert_same_as_reference(inst: IsingInstance, exact: bool) -> None:
+    """Same count as the reference; same spins and energy bits when ``exact``
+    (integer weights: distinct energies differ by at least 1), the energy to
+    1e-12 otherwise; and the spins are the tie rule's pick."""
+    best, energy, count = brute_force_ground_state(inst)
+    ref_best, ref_energy, ref_count = reference_brute_force_ground_state(inst)
+    assert count == ref_count
+    if exact:
+        assert np.array_equal(best.spins, ref_best.spins)
+        assert energy == ref_energy
+    else:
+        assert abs(energy - ref_energy) <= 1e-12
+    assert_lowest_index_within_atol(inst, best, ref_energy)
+
+
+class TestSplitEnumeration:
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 18), seed=st.integers(0, 2**32 - 1),
+           integer=st.booleans(), with_field=st.booleans())
+    def test_matches_reference_oracle(self, n, seed, integer, with_field):
+        assert_same_as_reference(seeded_instance(n, seed, integer, with_field), exact=integer)
+
+    # free spins 15 (one block smaller than a chunk), 16 (exactly one chunk),
+    # 17 (two chunks); pinned without field, all free with it
+    @pytest.mark.parametrize("n_bits", [15, 16, 17])
+    @pytest.mark.parametrize("with_field", [False, True])
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_chunk_edges(self, n_bits, with_field, integer):
+        n = n_bits if with_field else n_bits + 1
+        inst = seeded_instance(n, 100 + n_bits, integer, with_field)
+        assert_same_as_reference(inst, exact=integer)
+
+    @pytest.mark.parametrize("field", [None, [0.0], [-0.5], [2.0]])
+    def test_single_spin(self, field):
+        inst = IsingInstance(n=1, couplings=[[0.0]], field=field)
+        best, energy, count = brute_force_ground_state(inst)
+        assert best.spins.tolist() == ([-1.0] if field == [-0.5] else [1.0])
+        assert count == 1
+        assert energy == -abs((field or [0.0])[0])
+        assert_same_as_reference(inst, exact=True)
+
+    # many tied minimizers with real weights, whose computed energies differ in
+    # the last bits: the pick must not depend on that rounding.  At n = 19 the
+    # ties spread over four chunks.
+    @pytest.mark.parametrize("n", [5, 7, 9, 17, 19])
+    @pytest.mark.parametrize("family", [(complete_instance, 0.1), (ring_instance, 0.3)],
+                             ids=["complete-0.1", "ring-0.3"])
+    def test_tie_rule_on_degenerate_real_weights(self, n, family):
+        make, w = family
+        inst = make(n, w)
+        assert reference_brute_force_ground_state(inst)[2] > 1
+        assert_same_as_reference(inst, exact=False)
 
 
 class TestParseGraph:
