@@ -9,14 +9,13 @@ import numpy as np
 
 import oimsim as oim
 
-inst = oim.ising_from_maxcut(oim.reference_graph())
 spec = oim.SweepSpec(
     parameter="sigma",
     values=(0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 2.0),
     seeds=tuple(range(5)),
     base_dynamics=oim.DynamicsConfig(kappa_s=0.0),
     base_integrator=oim.IntegratorConfig(dt=0.01, t_end=30.0, record_every=10),
-    instance=inst,
+    graph=oim.reference_graph(),
 )
 rows = [r for r in oim.run_sweep(spec) if r.mode == "distributed"]
 

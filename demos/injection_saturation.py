@@ -16,7 +16,7 @@ spec = oim.SweepSpec(
     seeds=tuple(range(8)),
     base_dynamics=oim.DynamicsConfig(sigma=1.0),
     base_integrator=oim.IntegratorConfig(dt=0.01, t_end=30.0, record_every=10),
-    instance=oim.ising_from_maxcut(graph),
+    graph=graph,
 )
 rows = [r for r in oim.run_sweep(spec) if r.mode == "distributed"]
 

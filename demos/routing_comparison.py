@@ -9,11 +9,11 @@ almost immediately.
 import oimsim as oim
 from oimsim import InjectionVariant
 
-inst = oim.ising_from_maxcut(oim.reference_graph())
+graph = oim.reference_graph()
 dyn = oim.DynamicsConfig(injection_variant=InjectionVariant.ADLER)
 icfg = oim.IntegratorConfig(dt=0.01, t_end=100.0, record_every=10)
 
-summary = oim.compare_modes(inst, dyn, icfg, seeds=range(15))
+summary = oim.compare_modes(graph, dyn, icfg, seeds=range(15))
 
 print("paired-seed comparison over 15 seeds (Adler injection, defaults)")
 print(f"  median lock time, distributed : {summary.median_lock_distributed}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import enum
 import json
 import os
 import sys
@@ -31,11 +32,13 @@ from .integrate import IntegratorConfig
 from .ising import (
     MaxCutInstance,
     brute_force_ground_state,
+    cut_value,
     ising_from_maxcut,
     parse_graph,
     random_instance,
     serialize_graph,
 )
+from .metrics import LOCK_HOLD_SAMPLES, LOCK_THRESHOLD
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,21 +50,20 @@ EXIT_USAGE = 64
 _SIGMA_GRID = [0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 2.0]
 
 
+def _field_defaults(cls) -> dict:
+    """The field defaults of a config dataclass as JSON values: enums by value."""
+    return {
+        f.name: f.default.value if isinstance(f.default, enum.Enum) else f.default
+        for f in dataclasses.fields(cls)
+    }
+
+
 def _defaults() -> dict:
     return {
         "graph": None,
-        "dynamics": {
-            "sigma": 1.0,
-            "kappa_s": 0.75,
-            "mode": "distributed",
-            "injection_variant": "subharmonic",
-            "injection_phase": 0.0,
-            "injection_detuning": 0.0,
-            "noise_amplitude": 0.0,
-            "natural_freqs": None,
-        },
-        "integrator": {"dt": 0.01, "t_end": 50.0, "record_every": 10, "seed": 0},
-        "lock": {"threshold": 0.9, "hold_samples": 50},
+        "dynamics": _field_defaults(DynamicsConfig),
+        "integrator": _field_defaults(IntegratorConfig),
+        "lock": {"threshold": LOCK_THRESHOLD, "hold_samples": LOCK_HOLD_SAMPLES},
         "sweep": {
             "parameter": "sigma",
             "values": list(_SIGMA_GRID),
@@ -294,9 +296,9 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     g = _load_graph_file(args.graph)
     inst = ising_from_maxcut(g)
-    _, energy, degeneracy = brute_force_ground_state(inst)
+    best, energy, degeneracy = brute_force_ground_state(inst)
     _print_json({
-        "max_cut": (g.total_weight - energy) / 2.0,
+        "max_cut": cut_value(g, best),
         "ground_energy": energy,
         "degeneracy": degeneracy,
         "graph": str(args.graph),
@@ -315,7 +317,7 @@ def cmd_sweep(args) -> int:
         seeds=tuple(cfg["sweep"]["seeds"]),
         base_dynamics=_build(cfg, "dynamics", DynamicsConfig),
         base_integrator=_build(cfg, "integrator", IntegratorConfig),
-        instance=ising_from_maxcut(g),
+        graph=g,
     )
     threshold, hold = _lock_params(cfg)
     rows = run_sweep(spec, threshold=threshold, hold_samples=hold,
@@ -335,7 +337,7 @@ def cmd_compare(args) -> int:
     g = _resolve_config_graph(cfg, config_dir)
     threshold, hold = _lock_params(cfg)
     summary = compare_modes(
-        ising_from_maxcut(g),
+        g,
         _build(cfg, "dynamics", DynamicsConfig),
         _build(cfg, "integrator", IntegratorConfig),
         seeds=cfg["compare"]["seeds"],

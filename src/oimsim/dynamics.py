@@ -127,11 +127,6 @@ class DynamicsConfig:
         return self.natural_freqs
 
 
-def injection_phase_at(cfg: DynamicsConfig, t: float) -> float:
-    """theta_inj(t) = detuning * t + phase offset."""
-    return cfg.injection_detuning * t + cfg.injection_phase
-
-
 # Constants from bench/rhs_layer.py (one BLAS thread, x86_64): the CSR path
 # costs about as much as the two matvecs at 1/8 filled for n = 800 and 2000,
 # half as much at 6% filled, and more at any fill below about 500

@@ -3,6 +3,8 @@
 All runs are seeded and every experiment is deterministic for a fixed
 specification, independent of the worker thread count: work items are pure
 functions of their inputs and results are emitted in canonical order.
+Each driver takes the max-cut graph, maps it to couplings once, and reports
+every cut as ``cut_value`` on the graph it was given.
 """
 from __future__ import annotations
 
@@ -16,13 +18,7 @@ import numpy as np
 from .dynamics import DynamicsConfig, Mode, PhaseState
 from .errors import DivergenceError, check_int, check_real
 from .integrate import IntegratorConfig, initial_phases, integrate
-from .ising import (
-    IsingInstance,
-    MaxCutInstance,
-    SpinAssignment,
-    ising_from_maxcut,
-    maxcut_from_ising,
-)
+from .ising import IsingInstance, MaxCutInstance, SpinAssignment, ising_from_maxcut
 from .metrics import (LOCK_HOLD_SAMPLES, LOCK_THRESHOLD, check_lock_params, compute_traces,
                       lock_time, score_trajectory)
 
@@ -47,14 +43,14 @@ def reference_graph() -> MaxCutInstance:
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """One-parameter grid sweep over seeded runs in both routing modes."""
+    """One-parameter grid sweep over seeded runs in both routing modes on one graph."""
 
     parameter: str
     values: tuple
     seeds: tuple
     base_dynamics: DynamicsConfig
     base_integrator: IntegratorConfig
-    instance: IsingInstance
+    graph: MaxCutInstance
 
     def __post_init__(self):
         if self.parameter not in ("sigma", "kappa_s"):
@@ -177,8 +173,8 @@ def run_sweep(
     diverged run yields a row with empty lock time and NaN observables
     rather than aborting the sweep.
     """
-    g = maxcut_from_ising(spec.instance)
-    inits = {seed: initial_phases(spec.instance.n, seed) for seed in spec.seeds}
+    inst = ising_from_maxcut(spec.graph)
+    inits = {seed: initial_phases(inst.n, seed) for seed in spec.seeds}
     grid = [
         (value, seed, mode)
         for value in spec.values
@@ -186,7 +182,7 @@ def run_sweep(
         for mode in (Mode.CENTRALIZED, Mode.DISTRIBUTED)
     ]
     runs = _map_items(_run_once, [
-        (spec.instance, g, replace(spec.base_dynamics, mode=mode, **{spec.parameter: value}),
+        (inst, spec.graph, replace(spec.base_dynamics, mode=mode, **{spec.parameter: value}),
          spec.base_integrator, inits[seed], seed, threshold, hold_samples)
         for value, seed, mode in grid
     ], threads)
@@ -204,7 +200,7 @@ def _median(values: Iterable[float]) -> float | None:
 
 
 def compare_modes(
-    instance: IsingInstance,
+    graph: MaxCutInstance,
     dyn: DynamicsConfig,
     icfg: IntegratorConfig,
     seeds: Sequence[int],
@@ -224,11 +220,11 @@ def compare_modes(
     seeds = [int(s) for s in seeds]
     if len(seeds) < 10:
         raise ValueError(f"need at least 10 seeds, got {len(seeds)}")
-    g = maxcut_from_ising(instance)
+    inst = ising_from_maxcut(graph)
     modes = (Mode.DISTRIBUTED, Mode.CENTRALIZED)
-    inits = [initial_phases(instance.n, seed) for seed in seeds]
+    inits = [initial_phases(inst.n, seed) for seed in seeds]
     runs = _map_items(_run_once, [
-        (instance, g, replace(dyn, mode=mode), icfg, init, seed, threshold, hold_samples)
+        (inst, graph, replace(dyn, mode=mode), icfg, init, seed, threshold, hold_samples)
         for seed, init in zip(seeds, inits)
         for mode in modes
     ], threads)

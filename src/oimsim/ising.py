@@ -178,15 +178,6 @@ def ising_from_maxcut(g: MaxCutInstance) -> IsingInstance:
     return IsingInstance(n=g.n, couplings=J)
 
 
-def maxcut_from_ising(inst: IsingInstance) -> MaxCutInstance:
-    """Inverse of ising_from_maxcut. Zero-weight edges are not recoverable."""
-    if inst.has_field:
-        raise ValueError("only zero-field instances map back to max-cut")
-    i, j = np.nonzero(np.triu(inst.couplings, 1))
-    w = -inst.couplings[i, j]
-    return MaxCutInstance(n=inst.n, edges=tuple(zip(i.tolist(), j.tolist(), w.tolist())))
-
-
 def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float, int]:
     """Exhaustive minimum-energy search.
 

@@ -103,7 +103,7 @@ def test_criterion_2_cut_energy_identity():
 def test_criterion_3_distributed_speedup():
     started = time.monotonic()
     summary = compare_modes(
-        ising_from_maxcut(reference_graph()),
+        reference_graph(),
         DynamicsConfig(injection_variant=InjectionVariant.ADLER),
         IntegratorConfig(dt=0.01, t_end=100.0, record_every=10),
         seeds=range(50),
@@ -131,7 +131,7 @@ def test_criterion_4_coupling_threshold():
         seeds=tuple(range(10)),
         base_dynamics=DynamicsConfig(kappa_s=0.0),
         base_integrator=IntegratorConfig(dt=0.01, t_end=30.0, record_every=10),
-        instance=ising_from_maxcut(reference_graph()),
+        graph=reference_graph(),
     )
     rows = [r for r in run_sweep(spec) if r.mode == "distributed"]
     med_r = {}
@@ -158,7 +158,7 @@ def test_criterion_5_injection_saturation():
         seeds=tuple(range(10)),
         base_dynamics=DynamicsConfig(sigma=1.0),
         base_integrator=IntegratorConfig(dt=0.01, t_end=30.0, record_every=10),
-        instance=ising_from_maxcut(g),
+        graph=g,
     )
     rows = [r for r in run_sweep(spec) if r.mode == "distributed"]
     medians = []

@@ -91,6 +91,17 @@ class TestOracleCommand:
         assert json.loads(run_cli("oracle", pos).stdout)["max_cut"] == 1.0
         assert json.loads(run_cli("oracle", neg).stdout)["max_cut"] == 0.0
 
+    def test_all_negative_weights_give_a_zero_max_cut(self, tmp_path, capsys):
+        # (W - E)/2 rounds to -4.4e-16 here; the cut of the returned spins is 0
+        from oimsim import cli, random_instance, serialize_graph
+
+        g = random_instance(6, 0.6, "uniform", seed=92)
+        assert all(w < 0 for _, _, w in g.edges)
+        path = tmp_path / "g.graph"
+        path.write_text(serialize_graph(g))
+        assert cli.main(["oracle", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["max_cut"] == 0.0
+
     def test_capacity_exit_code(self, tmp_path):
         big = tmp_path / "big.graph"
         run_cli("gen", big, "--n", "30", "--density", "0.2", "--seed", "1", "--quiet")
@@ -356,6 +367,18 @@ class TestConfigHandling:
 
         monkeypatch.setattr(cli, "solve", exploding_solve)
         assert cli.main(["solve", str(TRIANGLE), "--quiet"]) == 3
+
+    def test_defaults_echo_the_config_dataclasses(self):
+        from oimsim.cli import _defaults
+
+        cfg = _defaults()
+        assert cfg["dynamics"] == {
+            "sigma": 1.0, "kappa_s": 0.75, "mode": "distributed",
+            "injection_variant": "subharmonic", "injection_phase": 0.0,
+            "injection_detuning": 0.0, "noise_amplitude": 0.0, "natural_freqs": None,
+        }
+        assert cfg["integrator"] == {"dt": 0.01, "t_end": 50.0, "record_every": 10, "seed": 0}
+        assert cfg["lock"] == {"threshold": 0.9, "hold_samples": 50}
 
     def test_bundled_configs_are_loadable(self):
         from oimsim.cli import load_effective_config

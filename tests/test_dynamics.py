@@ -16,7 +16,6 @@ from oimsim import (
     IsingInstance,
     Mode,
     PhaseState,
-    injection_phase_at,
     potential_energy,
     rhs,
 )
@@ -35,9 +34,21 @@ def rhs_via(path, inst: IsingInstance, cfg: DynamicsConfig):
         return make_rhs(inst, cfg)
 
 
+def reference_injection_phase(cfg: DynamicsConfig, t: float) -> float:
+    """Reference schedule theta_inj(t) = detuning * t + phase offset."""
+    return cfg.injection_detuning * t + cfg.injection_phase
+
+
+def drive_at(cfg: DynamicsConfig, t: float) -> float:
+    """make_rhs's drive-only injection term at time t, -sin(theta_inj(t)),
+    on two uncoupled oscillators."""
+    cfg = replace(cfg, injection_variant=InjectionVariant.DRIVE_ONLY, kappa_s=1.0)
+    return float(make_rhs(pair(0.0), cfg)(np.zeros(2), t)[0])
+
+
 def injection_term(cfg: DynamicsConfig, theta_i: float, t: float) -> float:
     """Reference per-oscillator injection contribution for the configured variant."""
-    th_inj = injection_phase_at(cfg, t)
+    th_inj = reference_injection_phase(cfg, t)
     if cfg.injection_variant is InjectionVariant.DRIVE_ONLY:
         return -cfg.kappa_s * np.sin(th_inj)
     if cfg.injection_variant is InjectionVariant.ADLER:
@@ -69,16 +80,20 @@ def random_system(n, seed):
 class TestInjectionSchedule:
     def test_constant_zero(self):
         cfg = DynamicsConfig()
-        assert injection_phase_at(cfg, 5.0) == 0.0
+        assert reference_injection_phase(cfg, 5.0) == 0.0
+        assert drive_at(cfg, 5.0) == 0.0
 
     def test_linear_ramp(self):
         cfg = DynamicsConfig(injection_detuning=1.0)
-        assert injection_phase_at(cfg, np.pi) == pytest.approx(np.pi)
+        assert reference_injection_phase(cfg, np.pi) == pytest.approx(np.pi)
+        for t in (0.5, 1.0, 2.5):
+            assert drive_at(cfg, t) == pytest.approx(-math.sin(t), abs=1e-15)
 
     def test_constant_offset(self):
         cfg = DynamicsConfig(injection_phase=np.pi / 2)
         for t in (0.0, 1.0, 17.3):
-            assert injection_phase_at(cfg, t) == np.pi / 2
+            assert reference_injection_phase(cfg, t) == np.pi / 2
+            assert drive_at(cfg, t) == pytest.approx(-1.0, abs=1e-15)
 
 
 class TestInjectionTerm:
@@ -344,7 +359,7 @@ class TestRhsModes:
             theta = rng.uniform(0, 2 * np.pi, 7)
             t = 1.7
             state = PhaseState(theta, t)
-            th_inj = injection_phase_at(cfg_c, t)
+            th_inj = reference_injection_phase(cfg_c, t)
             s, c = np.sin(theta), np.cos(theta)
             extras = -0.6 * (s * c.sum() - c * s.sum()) - 0.6 * np.sin(th_inj)
             diff = rhs(inst, cfg_c, state) - rhs(inst, cfg_d, state)

@@ -17,17 +17,16 @@ from oimsim import (
     brute_force_ground_state,
     compare_modes,
     cut_value,
+    initial_phases,
+    integrate,
     ising_from_maxcut,
     random_instance,
     reference_graph,
     run_sweep,
+    score_trajectory,
     solve,
     sweep_to_csv,
 )
-
-
-def reference_instance():
-    return ising_from_maxcut(reference_graph())
 
 
 def short_integrator(t_end=10.0):
@@ -57,12 +56,28 @@ class TestRunSweep:
             seeds=(0, 1),
             base_dynamics=DynamicsConfig(),
             base_integrator=short_integrator(5.0),
-            instance=reference_instance(),
+            graph=reference_graph(),
         )
         rows = run_sweep(spec)
         assert len(rows) == 8  # 2 values x 2 seeds x 2 modes
         keys = [(r.parameter_value, r.seed, r.mode) for r in rows]
         assert keys == sorted(keys)
+
+    def test_best_cut_is_cut_value_on_the_given_graph(self):
+        # real weights listed out of row-major order: a cut summed over the
+        # edges in any other order can differ in the last bits
+        g = random_instance(12, 0.7, "uniform", seed=1)
+        g = MaxCutInstance(n=g.n, edges=g.edges[::-1])
+        dyn, icfg = DynamicsConfig(), short_integrator(5.0)
+        spec = SweepSpec(parameter="sigma", values=(1.0,), seeds=(0, 1),
+                         base_dynamics=dyn, base_integrator=icfg, graph=g)
+        inst = ising_from_maxcut(g)
+        for r in run_sweep(spec):
+            run_dyn = replace(dyn, mode=r.mode, sigma=r.parameter_value)
+            traj = integrate(inst, run_dyn, replace(icfg, seed=r.seed),
+                             initial_phases(inst.n, r.seed))
+            _, energy, cut = score_trajectory(traj, inst, g, run_dyn)
+            assert (r.final_energy, r.best_cut) == (energy, cut)
 
     def test_zero_coupling_matches_random_phase_baseline(self):
         # with sigma = 0, kappa_s = 0, and no noise the phases never move, so
@@ -73,7 +88,7 @@ class TestRunSweep:
             seeds=tuple(range(10)),
             base_dynamics=DynamicsConfig(kappa_s=0.0),
             base_integrator=short_integrator(5.0),
-            instance=reference_instance(),
+            graph=reference_graph(),
         )
         rows = [r for r in run_sweep(spec)
                 if r.parameter_value == 0.0 and r.mode == "distributed"]
@@ -91,7 +106,7 @@ class TestRunSweep:
             seeds=(0, 1, 2),
             base_dynamics=DynamicsConfig(),
             base_integrator=short_integrator(5.0),
-            instance=reference_instance(),
+            graph=reference_graph(),
         )
         serial = run_sweep(spec, threads=1)
         threaded = run_sweep(spec, threads=4)
@@ -105,7 +120,7 @@ class TestRunSweep:
             seeds=(0,),
             base_dynamics=DynamicsConfig(),
             base_integrator=short_integrator(5.0),
-            instance=reference_instance(),
+            graph=reference_graph(),
         )
         text = sweep_to_csv("sigma", run_sweep(spec), config_comment="{}")
         lines = text.strip().split("\n")
@@ -120,14 +135,14 @@ class TestRunSweep:
                 parameter="dt", values=(1.0,), seeds=(0,),
                 base_dynamics=DynamicsConfig(),
                 base_integrator=short_integrator(),
-                instance=reference_instance(),
+                graph=reference_graph(),
             )
         with pytest.raises(ValueError):
             SweepSpec(
                 parameter="sigma", values=(1.0, 0.5), seeds=(0,),
                 base_dynamics=DynamicsConfig(),
                 base_integrator=short_integrator(),
-                instance=reference_instance(),
+                graph=reference_graph(),
             )
 
 
@@ -135,7 +150,7 @@ class TestCompareModes:
     def test_zero_injection_gives_unit_speedup(self):
         # with kappa_s = 0 the two routings have identical dynamics
         summary = compare_modes(
-            reference_instance(),
+            reference_graph(),
             DynamicsConfig(kappa_s=0.0),
             short_integrator(10.0),
             seeds=range(10),
@@ -148,12 +163,12 @@ class TestCompareModes:
     def test_requires_ten_seeds(self):
         with pytest.raises(ValueError):
             compare_modes(
-                reference_instance(), DynamicsConfig(), short_integrator(), seeds=range(9)
+                reference_graph(), DynamicsConfig(), short_integrator(), seeds=range(9)
             )
 
     def test_adler_comparison_smoke(self):
         summary = compare_modes(
-            reference_instance(),
+            reference_graph(),
             DynamicsConfig(injection_variant=InjectionVariant.ADLER),
             IntegratorConfig(dt=0.01, t_end=60.0, record_every=10),
             seeds=range(10),
@@ -279,7 +294,7 @@ class TestDivergedRuns:
             parameter="sigma", values=(1.0,), seeds=(0, 1),
             base_dynamics=DynamicsConfig(),
             base_integrator=short_integrator(5.0),
-            instance=reference_instance(),
+            graph=reference_graph(),
         )
         rows = run_sweep(spec)
         assert len(rows) == 4

@@ -16,7 +16,6 @@ from oimsim import (
     cut_value,
     hamiltonian_energy,
     ising_from_maxcut,
-    maxcut_from_ising,
     parse_graph,
     random_instance,
     serialize_graph,
@@ -306,13 +305,15 @@ class TestConversion:
                 rhs = (W - hamiltonian_energy(inst, s)) / 2.0
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_roundtrip_through_ising(self):
+    def test_couplings_are_negated_edge_weights(self):
         for weight_set in ("pm1", "uniform"):
             for seed in (11, 12, 13):
                 g = random_instance(7 + seed, 0.7, weight_set, seed=seed)
-                back = maxcut_from_ising(ising_from_maxcut(g))
-                assert back.n == g.n
-                assert back.edges == g.edges
+                g = MaxCutInstance(n=g.n, edges=g.edges[::-1])  # not row-major
+                expected = np.zeros((g.n, g.n))
+                for i, j, w in g.edges:
+                    expected[i, j] = expected[j, i] = -w
+                assert np.array_equal(ising_from_maxcut(g).couplings, expected)
 
     @settings(deadline=None)
     @given(g=graphs())
