@@ -16,10 +16,12 @@ those functions reports only the closure.  BLAS runs on one thread, as the comma
 ``--threads 1`` and the benchmark in ``perfbench/`` run it.
 
 Each time is the median over ``BLOCKS`` blocks of repeated calls, in
-microseconds per call.  The table goes to standard output, and
-``BENCH_rhs_<commit>.json`` at the root of the checkout records it with the
-commit (``git describe --always --dirty``), the CPU count, and the numpy and
-Python versions.
+microseconds per call.  The reference kernel of ``harness.py`` is timed on
+the same clock right before and right after every row, and the mean of the
+two is recorded beside it as ``kernel_ms``.  The table goes to standard
+output, and ``BENCH_rhs_<commit>.json`` at the root of the checkout records
+it with the commit (``git describe --always --dirty``), the CPU count, and
+the numpy and Python versions.
 """
 from __future__ import annotations
 
@@ -29,14 +31,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import json
-import platform
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from harness import ROOT, host_record, reference_kernel, timed_ms  # noqa: E402
+
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
@@ -73,28 +73,21 @@ def per_call_us(call) -> float:
     return 1e6 * statistics.median(blocks)
 
 
-def commit() -> str:
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
-                             capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return out.stdout.strip()
-
-
 def main() -> int:
     rng = np.random.default_rng(SEED)
     makers = {name: getattr(dynamics, f"_{name}_coupling", None) for name in ("dense", "sparse")}
     pick = getattr(dynamics, "_coupling", None)
     cells = []
+    reference_kernel()
     print(f"{'n':>5} {'density':>8} {'nnz':>8} {'dense_us':>10} {'sparse_us':>10} "
-          f"{'rhs_us':>10}  path")
+          f"{'rhs_us':>10} {'kernel_ms':>10}  path")
     for n in SIZES:
         for density in DENSITIES:
             J = couplings(n, density, rng)
             theta = rng.uniform(0.0, 2.0 * np.pi, n)
             cos_t, sin_t = np.cos(theta), np.sin(theta)
             cell = {"n": n, "density": density, "nnz": int(np.count_nonzero(J))}
+            kernel_before = timed_ms(reference_kernel, time.perf_counter)
             for name, make in makers.items():
                 couple = make(J) if make else None
                 cell[f"{name}_us"] = per_call_us(lambda: couple(cos_t, sin_t)) if couple else None
@@ -102,24 +95,15 @@ def main() -> int:
             cell["rhs_us"] = per_call_us(lambda: f(theta, 0.0))
             chosen = pick(J).__qualname__.split(".")[0] if pick else "_dense_coupling"
             cell["path"] = chosen.strip("_").removesuffix("_coupling")
+            kernel_after = timed_ms(reference_kernel, time.perf_counter)
+            cell["kernel_ms"] = (kernel_before + kernel_after) / 2
             cells.append(cell)
             print(f"{n:>5} {density:>8} {cell['nnz']:>8} "
                   + " ".join(f"{cell[k]:>10.1f}" if cell[k] is not None else f"{'-':>10}"
-                             for k in ("dense_us", "sparse_us", "rhs_us"))
+                             for k in ("dense_us", "sparse_us", "rhs_us", "kernel_ms"))
                   + f"  {cell['path']}")
-    tag = commit()
-    doc = {
-        "commit": tag,
-        "cpu_count": os.cpu_count(),
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "blas_threads": 1,
-        "blocks": BLOCKS,
-        "seed": SEED,
-        "cells": cells,
-    }
-    path = ROOT / f"BENCH_rhs_{tag}.json"
+    doc = {**host_record(), "blocks": BLOCKS, "seed": SEED, "cells": cells}
+    path = ROOT / f"BENCH_rhs_{doc['commit']}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path.name}")
     return 0

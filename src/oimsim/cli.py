@@ -32,6 +32,7 @@ from .integrate import IntegratorConfig
 from .ising import (
     MaxCutInstance,
     brute_force_ground_state,
+    check_brute_force_size,
     cut_value,
     ising_from_maxcut,
     parse_graph,
@@ -295,6 +296,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph_file(args.graph)
+    check_brute_force_size(g.n)     # before the dense n x n couplings are built
     inst = ising_from_maxcut(g)
     best, energy, degeneracy = brute_force_ground_state(inst)
     _print_json({

@@ -191,31 +191,41 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
 
     The spins split in two: V, the ``min(n_bits, 16)`` lowest free spins,
     which vary inside a chunk of 2^|V| indices, and C, the pinned spin and
-    the high bits, which stay constant across a chunk.  The ``(2^|V|, |V|)``
-    block S_V of V-spins and their energies e_V under (J_VV, h_V) are built
-    once; a chunk then costs one ``(2^|V| x |V|)`` matvec, not an
-    O(2^|V| n^2) product:
-    ``e = e_V - S_V (J_VC s_C) + (-s_C.J_CC.s_C / 2 - h_C.s_C)``.  A first
-    pass keeps each chunk's minimum; a second revisits only the chunks whose
-    minimum lies within ``atol`` of the best, and counts there.
+    the high bits, which stay constant across a chunk.  Energies are built
+    by sign-flip doubling, with no spin rows stored: the indices
+    ``[m, 2m)``, ``m = 2^b``, are the indices ``[0, m)`` with V-spin b
+    flipped from +1 to -1.  The energies e_V of all V-assignments under
+    (J_VV, h_V) are built once: flipping spin b raises the energy by twice
+    its local field, itself a doubling over ``J_VV[b, :b]`` offset by
+    ``sum(J_VV[b, b+1:]) + h_V[b]``.  A chunk then costs O(2^|V|) adds:
+    ``e = e_V - r + (-s_C.J_CC.s_C / 2 - h_C.s_C)``, where ``r`` is the
+    doubling vector of ``u = J_VC s_C`` (``r[0] = sum(u)``,
+    ``r[m:2m] = r[:m] - 2 u_b``).  A first pass keeps each chunk's minimum;
+    a second revisits only the chunks whose minimum lies within ``atol`` of
+    the best, and counts there.
     """
-    if inst.n > BRUTE_FORCE_MAX_N:
-        raise CapacityError(
-            f"brute force capped at n={BRUTE_FORCE_MAX_N}, got n={inst.n}"
-        )
+    check_brute_force_size(inst.n)
     n, J, h = inst.n, inst.couplings, inst.field
     n_bits = n if inst.has_field else n - 1
     first = n - n_bits                      # index of the first free spin
     low = min(n_bits, _CHUNK_BITS)
     V = np.arange(first, first + low)
     C = np.r_[0:first, first + low:n]
-    S_V = _bit_spins(np.arange(1 << low), low)
-    e_V = _quadratic_energies(J[np.ix_(V, V)], h[V], S_V)
+    J_VV, h_V = J[np.ix_(V, V)], h[V]
+    e_V = np.empty(1 << low)
+    e_V[0] = -0.5 * J_VV.sum() - h_V.sum()
+    for b in range(low):
+        m = 1 << b
+        field_b = _signed_sums(J_VV[b, :b]) + (J_VV[b, b + 1:].sum() + h_V[b])
+        e_V[m:2 * m] = e_V[:m] + 2.0 * field_b
     J_VC, J_CC, h_C = J[np.ix_(V, C)], J[np.ix_(C, C)], h[C]
+    buf = np.empty(1 << low)    # reused: each fresh 512 KiB array faults its pages in anew
 
     def chunk_energies(c: int) -> np.ndarray:
         s_C = np.concatenate([np.ones(first), _bit_spins(np.array([c]), n_bits - low)[0]])
-        return e_V - S_V @ (J_VC @ s_C) + _quadratic_energies(J_CC, h_C, s_C[None])[0]
+        e = np.subtract(e_V, _signed_sums(J_VC @ s_C, out=buf), out=buf)
+        e += _quadratic_energies(J_CC, h_C, s_C[None])[0]
+        return e
 
     chunk_min = np.array([chunk_energies(c).min() for c in range(1 << (n_bits - low))])
     best_energy = chunk_min.min()
@@ -231,6 +241,24 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
     spins[first:] = _bit_spins(np.array([best_index]), n_bits)[0]
     best = SpinAssignment(spins)
     return best, hamiltonian_energy(inst, best), count
+
+
+def check_brute_force_size(n: int) -> None:
+    """Raise CapacityError when n spins exceed what brute force enumerates."""
+    if n > BRUTE_FORCE_MAX_N:
+        raise CapacityError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got n={n}")
+
+
+def _signed_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``r[k] = sum_b (1 - 2 bit_b(k)) w_b`` for every k < 2^len(w), by doubling:
+    ``r[0] = sum(w)``, then ``r[m:2m] = r[:m] - 2 w_b`` for ``m = 2^b``.
+    Written into ``out`` when given."""
+    r = np.empty(1 << w.size) if out is None else out
+    r[0] = w.sum()
+    for b, wb in enumerate(w):
+        m = 1 << b
+        np.subtract(r[:m], 2.0 * wb, out=r[m:2 * m])
+    return r
 
 
 def _bit_spins(index: np.ndarray, width: int) -> np.ndarray:

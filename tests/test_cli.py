@@ -108,6 +108,22 @@ class TestOracleCommand:
         proc = run_cli("oracle", big)
         assert proc.returncode == 4
 
+    def test_capacity_is_checked_before_the_couplings_are_built(
+            self, tmp_path, capsys, monkeypatch):
+        # a 6000-vertex path is a 70 KB file but a 275 MiB dense J
+        from oimsim import cli
+
+        def build_couplings(g):
+            raise AssertionError("dense couplings built past the capacity check")
+
+        n = 6000
+        path = tmp_path / "path.graph"
+        path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1} 1\n" for i in range(1, n)))
+        monkeypatch.setattr(cli, "ising_from_maxcut", build_couplings)
+        assert cli.main(["oracle", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "oimsim oracle: error: brute force capped at n=24, got n=6000\n")
+
 
 class TestGenCommand:
     def test_complete_graph_header(self, tmp_path):

@@ -1,5 +1,6 @@
 """Problem representation, energies, conversion, parsing, and the exact oracle."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from oimsim import (
     random_instance,
     serialize_graph,
 )
-from oimsim.ising import energies
+from oimsim.ising import _bit_spins, _signed_sums, energies
 
 
 def reference_hamiltonian_energy(inst: IsingInstance, s: SpinAssignment) -> float:
@@ -456,6 +457,53 @@ class TestSplitEnumeration:
         inst = make(n, w)
         assert reference_brute_force_ground_state(inst)[2] > 1
         assert_same_as_reference(inst, exact=False)
+
+    # at the cap: 2^23 assignments in 128 chunks without a field, 2^24 in 256
+    # with it.  J_ij = s*_i s*_j w_ij with w_ij > 0 is a gauge-transformed
+    # ferromagnet: every pair is satisfied exactly at +-s*, and h = s*/2
+    # breaks the flip symmetry towards s*.
+    @pytest.mark.parametrize("with_field", [False, True])
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_planted_ground_state_at_the_cap(self, with_field, integer):
+        n = 24
+        rng = np.random.default_rng(24)
+        planted = rng.choice([-1.0, 1.0], n)
+        w = rng.integers(1, 4, (n, n)).astype(float) if integer else rng.uniform(0.5, 1.5, (n, n))
+        w = np.triu(w, 1)
+        w = w + w.T
+        field = 0.5 * planted if with_field else None
+        inst = IsingInstance(n=n, couplings=np.outer(planted, planted) * w, field=field)
+        best, energy, count = brute_force_ground_state(inst)
+        expected = planted if with_field else planted[0] * planted
+        assert np.array_equal(best.spins, expected)
+        assert count == 1
+        ground = -np.triu(w, 1).sum() - (0.5 * n if with_field else 0.0)
+        if integer:
+            assert energy == ground
+        else:
+            assert abs(energy - ground) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_signed_sums_match_the_spin_rows(self, k):
+        rng = np.random.default_rng(k)
+        rows = _bit_spins(np.arange(1 << k), k)
+        w_int = rng.integers(-5, 6, k).astype(float)
+        assert np.array_equal(_signed_sums(w_int), rows @ w_int)
+        w_real = rng.uniform(-1.0, 1.0, k)
+        np.testing.assert_allclose(_signed_sums(w_real), rows @ w_real, rtol=0, atol=1e-12)
+        out = np.empty(1 << k)
+        assert _signed_sums(w_real, out=out) is out
+
+    def test_memory_stays_below_the_spin_block(self):
+        # a (2^16, 16) block of float spin rows alone is 8 MiB
+        inst = ising_from_maxcut(random_instance(22, 0.5, "pm1", seed=5))
+        tracemalloc.start()
+        try:
+            brute_force_ground_state(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestParseGraph:
