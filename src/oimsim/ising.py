@@ -330,6 +330,15 @@ def random_instance(
     """Seeded random graph: each pair i < j kept with probability ``density``.
 
     ``pm1`` draws weights from {-1, +1}; ``uniform`` from uniform(-1, 1).
+    Edges come out in row-major order.
+
+    The generator draws, in this order: the gaps between kept pairs, as
+    ``geometric(density)`` variates in batches, whose running sums give the
+    kept pairs' row-major indices (none with ``density == 1``, which keeps
+    every pair); then all weights in one call.  It never visits the pairs it
+    skips, so time and memory are O(n + m) for m kept edges (Batagelj and
+    Brandes, "Efficient generation of large random networks", Phys. Rev. E
+    71, 036113, 2005).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -338,14 +347,31 @@ def random_instance(
     if weight_set not in ("pm1", "uniform"):
         raise ValueError(f"unknown weight_set {weight_set!r}")
     rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if density < 1.0 and rng.random() >= density:
-                continue
-            if weight_set == "pm1":
-                w = float(rng.choice([-1.0, 1.0]))
-            else:
-                w = float(rng.uniform(-1.0, 1.0))
-            edges.append((i, j, w))
-    return MaxCutInstance(n=n, edges=tuple(edges))
+    pairs = n * (n - 1) // 2
+    k = np.arange(pairs) if density == 1.0 else _kept_pairs(rng, pairs, density)
+    # row i's pairs (i, i+1), ..., (i, n-1) start at index i*n - i(i+1)/2
+    rows = np.arange(n, dtype=np.int64)
+    offsets = rows * n - rows * (rows + 1) // 2
+    i = np.searchsorted(offsets, k, side="right") - 1
+    j = k - offsets[i] + i + 1
+    if weight_set == "pm1":
+        w = rng.choice([-1.0, 1.0], size=k.size)
+    else:
+        w = rng.uniform(-1.0, 1.0, size=k.size)
+    return MaxCutInstance(n=n, edges=tuple(zip(i.tolist(), j.tolist(), w.tolist())))
+
+
+def _kept_pairs(rng: np.random.Generator, pairs: int, density: float) -> np.ndarray:
+    """Sorted indices below ``pairs``, each kept with probability ``density``:
+    running sums of geometric gaps, drawn in batches sized to the expected
+    count plus six standard deviations, so one batch almost always suffices."""
+    mean = pairs * density
+    batch = int(mean + 6.0 * np.sqrt(mean) + 16)
+    chunks, last = [], -1
+    while last < pairs:
+        # a gap past the end ends the draw; capping it keeps the sums in int64
+        gaps = np.minimum(rng.geometric(density, size=batch), pairs + 1)
+        kept = last + np.cumsum(gaps)
+        last = int(kept[-1])
+        chunks.append(kept[kept < pairs])
+    return np.concatenate(chunks)

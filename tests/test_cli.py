@@ -93,9 +93,13 @@ class TestOracleCommand:
 
     def test_all_negative_weights_give_a_zero_max_cut(self, tmp_path, capsys):
         # (W - E)/2 rounds to -4.4e-16 here; the cut of the returned spins is 0
-        from oimsim import cli, random_instance, serialize_graph
+        from oimsim import MaxCutInstance, cli, serialize_graph
 
-        g = random_instance(6, 0.6, "uniform", seed=92)
+        g = MaxCutInstance(6, (
+            (0, 2, -0.2993584445257016), (0, 3, -0.924045801334008),
+            (0, 5, -0.9945290784174783), (1, 3, -0.6964577900834426),
+            (1, 4, -0.007084093150768744), (1, 5, -0.07983939034486709),
+            (2, 4, -0.9443944441172547), (2, 5, -0.19684374954518957)))
         assert all(w < 0 for _, _, w in g.edges)
         path = tmp_path / "g.graph"
         path.write_text(serialize_graph(g))

@@ -583,6 +583,63 @@ class TestRandomInstance:
         assert len(g.edges) == 6
         assert all(abs(w) == 1.0 for _, _, w in g.edges)
 
+    @pytest.mark.parametrize("n, density, seed", [(2, 0.5, 0), (9, 0.4, 3), (300, 0.05, 1)])
+    def test_edges_are_increasing_row_major_pairs(self, n, density, seed):
+        i, j, _ = random_instance(n, density, "pm1", seed=seed).edge_arrays()
+        assert np.all((0 <= i) & (i < j) & (j < n))
+        assert np.all(np.diff(i * n + j) > 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_full_density_keeps_every_pair_in_row_major_order(self, n):
+        g = random_instance(n, 1.0, "uniform", seed=4)
+        assert [(i, j) for i, j, _ in g.edges] == list(itertools.combinations(range(n), 2))
+
+    @pytest.mark.parametrize("n, density", [(800, 0.06), (200, 0.5), (2000, 0.001)])
+    def test_edge_count_is_binomial(self, n, density):
+        pairs = n * (n - 1) // 2
+        mean, sd = pairs * density, np.sqrt(pairs * density * (1 - density))
+        for seed in range(3):
+            assert abs(len(random_instance(n, density, "pm1", seed=seed).edges) - mean) <= 5 * sd
+
+    def test_vanishing_density_gives_no_edges(self):
+        # geometric(1e-300) saturates at the int64 maximum; the gaps' sums must not wrap
+        assert random_instance(1000, 1e-300, "pm1", seed=0).edges == ()
+
+    def test_weight_sets(self):
+        pm1 = random_instance(100, 0.5, "pm1", seed=1).edge_arrays()[2]
+        assert set(pm1.tolist()) == {-1.0, 1.0}
+        uniform = random_instance(100, 0.5, "uniform", seed=1).edge_arrays()[2]
+        assert np.all((-1.0 <= uniform) & (uniform < 1.0))
+        assert uniform.min() < 0.0 < uniform.max()
+
+    @pytest.mark.parametrize("n, weight_set, seed, edges", [
+        (7, "uniform", 3, (
+            (0, 1, 0.517410922309838), (0, 2, 0.7569603693325078),
+            (0, 5, -0.7953601561558512), (1, 2, 0.6995366749323075),
+            (1, 3, -0.2121453347353297), (1, 4, -0.040632152975450087),
+            (1, 5, -0.707330860483603), (1, 6, 0.3968526898941871),
+            (2, 4, -0.41604276802429796), (2, 5, 0.7422782995871782),
+            (2, 6, -0.4492512461038458), (3, 5, 0.12361943746177984),
+            (3, 6, -0.20068755773909452), (4, 6, 0.2258189838048783))),
+        (6, "pm1", 11, (
+            (0, 1, 1.0), (0, 2, -1.0), (0, 4, 1.0), (0, 5, -1.0),
+            (1, 2, -1.0), (2, 3, -1.0), (2, 4, -1.0), (2, 5, -1.0))),
+    ])
+    def test_golden_graph(self, n, weight_set, seed, edges):
+        # pins the stream: a change here changes every seeded graph
+        assert random_instance(n, 0.5, weight_set, seed=seed).edges == edges
+
+    def test_memory_grows_with_the_edges_not_the_pairs(self):
+        # 40k edges out of 2e8 pairs: one 8-byte array over the pairs is 1.5 GiB
+        tracemalloc.start()
+        try:
+            g = random_instance(20000, 2e-4, "pm1", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.edges) > 30000
+        assert peak < 32 * 2**20
+
     def test_determinism(self):
         a = random_instance(10, 0.3, "uniform", seed=7)
         b = random_instance(10, 0.3, "uniform", seed=7)
