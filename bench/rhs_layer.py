@@ -8,9 +8,9 @@ Run from anywhere, with no options::
 It imports ``oimsim`` from the ``src/`` of the checkout it sits in and, for
 each n in ``SIZES`` and each edge probability in ``DENSITIES``, times one
 call of every coupling path that ``oimsim.dynamics`` has (``_dense_coupling``:
-two BLAS matrix-vector products; ``_sparse_coupling``: a gather over the
-nonzeros and one segment sum per row), each called through the private
-function that makes it, and one call of the full ``make_rhs`` closure,
+two BLAS matrix-vector products; ``_sparse_coupling``: one complex gather
+over the nonzeros and one complex segment sum per row), each called through
+the private function that makes it, and one call of the full ``make_rhs`` closure,
 which uses the path that ``make_rhs`` picks for that J.  A checkout without
 those functions reports only the closure.  BLAS runs on one thread, as the command line's
 ``--threads 1`` and the benchmark in ``perfbench/`` run it.

@@ -19,8 +19,8 @@ from .dynamics import DynamicsConfig, Mode, PhaseState
 from .errors import DivergenceError, check_int, check_real
 from .integrate import IntegratorConfig, initial_phases, integrate
 from .ising import IsingInstance, MaxCutInstance, SpinAssignment, ising_from_maxcut
-from .metrics import (LOCK_HOLD_SAMPLES, LOCK_THRESHOLD, check_lock_params, compute_traces,
-                      lock_time, score_trajectory)
+from .metrics import (LOCK_HOLD_SAMPLES, LOCK_THRESHOLD, _circular_stats, _lock_report,
+                      _order_parameters, check_lock_params, score_trajectory)
 
 # Fixed bipartition behind the 10-oscillator reference instance.  Cross-pair
 # edges carry weight +1 and within-group edges -1, so the locked two-cluster
@@ -140,21 +140,28 @@ def _run_once(
     threshold: float,
     hold_samples: int,
 ) -> _Run:
-    """Integrate one seeded run from init, then detect locking and read it out."""
+    """Integrate one seeded run from init, then detect locking and read it out.
+
+    Only the reported observables are computed: R of every sample for the
+    lock window, and the lock error of the final sample.  The kernels work
+    row by row, so each value is bit-equal to its entry in compute_traces
+    of the same trajectory.
+    """
     check_lock_params(threshold, hold_samples, icfg.n_samples)
     dyn.freqs_for(inst.n)  # a natural_freqs length fault is raised before integrating
     try:
         traj = integrate(inst, dyn, replace(icfg, seed=seed), init)
     except DivergenceError as err:
         return _Run(error=err)
-    traces = compute_traces(traj, inst, dyn)
-    report = lock_time(traces, traj.times, threshold, hold_samples)
+    r = _order_parameters(traj.states)
+    report = _lock_report(r, traj.times, threshold, hold_samples)
+    _, final_error = _circular_stats(traj.states[-1:])
     spins, energy, cut = score_trajectory(traj, inst, g, dyn)
     return _Run(
         lock_time=report.lock_time,
         locked=report.locked,
-        final_R=float(traces.order_parameter[-1]),
-        final_error=float(traces.phase_error[-1]),
+        final_R=float(r[-1]),
+        final_error=float(final_error[0]),
         spins=spins,
         energy=energy,
         cut=cut,

@@ -135,7 +135,7 @@ def integrate(
             k3 = f(k2 * (0.5 * dt) + theta, t + 0.5 * dt)
             k4 = f(k3 * dt + theta, t + dt)
             theta = theta + ((k2 + k3) * 2.0 + k1 + k4) * (dt / 6.0)
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise DivergenceError(step)
         if (step + 1) % stride == 0:
             samples.append(theta)

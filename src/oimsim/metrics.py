@@ -6,7 +6,8 @@ phase rows: the order parameter, the circular mean direction with the RMS
 lock error, the readout anchor, and the +-1 binarization.  compute_traces
 runs them over a trajectory's recorded samples; order_parameter,
 phase_lock_error and binarize are views of the same kernels on a batch of
-one state.
+one state.  run_sweep, compare_modes and solve run the order-parameter
+and lock-error kernels directly, on every sample and on the final one.
 
 Both the order parameter and the lock error work on doubled phases
 psi_i = 2 * theta_i, so configurations locked to the two binary phases
@@ -146,8 +147,16 @@ def lock_time(
     """Earliest sample time where R stays >= threshold for hold_samples samples."""
     r = traces.order_parameter
     check_lock_params(threshold, hold_samples, r.size)
-    ok = r >= threshold
-    windows = np.lib.stride_tricks.sliding_window_view(ok, hold_samples).all(axis=1)
+    return _lock_report(r, times, threshold, hold_samples)
+
+
+def _lock_report(
+    r: np.ndarray, times: np.ndarray, threshold: float, hold_samples: int
+) -> LockReport:
+    """The lock-window rule over an order-parameter vector with checked
+    parameters: the first time from which r >= threshold for hold_samples
+    samples."""
+    windows = np.lib.stride_tricks.sliding_window_view(r >= threshold, hold_samples).all(axis=1)
     hits = np.flatnonzero(windows)
     if hits.size == 0:
         return LockReport(None, threshold, hold_samples, False)

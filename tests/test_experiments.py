@@ -13,13 +13,16 @@ from oimsim import (
     InjectionVariant,
     IntegratorConfig,
     MaxCutInstance,
+    Mode,
     SweepSpec,
     brute_force_ground_state,
     compare_modes,
+    compute_traces,
     cut_value,
     initial_phases,
     integrate,
     ising_from_maxcut,
+    lock_time,
     random_instance,
     reference_graph,
     run_sweep,
@@ -27,6 +30,7 @@ from oimsim import (
     solve,
     sweep_to_csv,
 )
+from oimsim.experiments import _run_once
 
 
 def short_integrator(t_end=10.0):
@@ -244,6 +248,38 @@ class TestSolve:
         assert np.mean(ratios) >= 0.91
 
 
+class TestRunObservables:
+    """What run_sweep, compare_modes and solve read from one run equals what
+    the public pipeline, compute_traces -> lock_time -> the final row,
+    reports for the same trajectory, bit for bit."""
+
+    @pytest.mark.parametrize("graph", [
+        reference_graph(),
+        random_instance(600, 0.06, "pm1", seed=2),
+    ], ids=["reference10-dense", "random600-sparse"])
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["rk4", "em"])
+    @pytest.mark.parametrize("mode", [Mode.DISTRIBUTED, Mode.CENTRALIZED])
+    def test_run_once_matches_public_pipeline(self, graph, noise, mode):
+        inst = ising_from_maxcut(graph)
+        dyn = DynamicsConfig(mode=mode, noise_amplitude=noise)
+        icfg = IntegratorConfig(dt=0.01, t_end=10.0, record_every=10, seed=4)
+        init = initial_phases(inst.n, 4)
+        # a low threshold, so that the sparse runs, still disordered at
+        # t = 10, cross it too
+        threshold, hold = 0.2, 10
+        run = _run_once(inst, graph, dyn, icfg, init, 4, threshold, hold)
+        traj = integrate(inst, dyn, icfg, init)
+        traces = compute_traces(traj, inst, dyn)
+        report = lock_time(traces, traj.times, threshold, hold)
+        assert run.lock_time == report.lock_time
+        assert run.locked == report.locked
+        assert run.final_R == traces.order_parameter[-1]
+        assert run.final_error == traces.phase_error[-1]
+        spins, energy, cut = score_trajectory(traj, inst, graph, dyn)
+        assert np.array_equal(run.spins.spins, spins.spins)
+        assert (run.energy, run.cut) == (energy, cut)
+
+
 class TestDivergedRuns:
     """Real runs cannot diverge (velocities are bounded), so integrate is
     faked to diverge for chosen seeds; the error's step names the seed."""
@@ -260,6 +296,16 @@ class TestDivergedRuns:
                 return real(inst, dyn, icfg, init)
             monkeypatch.setattr(experiments, "integrate", integrate)
         return install
+
+    def test_diverged_run_has_no_lock_and_nan_observables(self, diverge_for):
+        g = reference_graph()
+        inst = ising_from_maxcut(g)
+        diverge_for({3})
+        run = _run_once(inst, g, DynamicsConfig(), short_integrator(), initial_phases(inst.n, 3),
+                        3, 0.9, 10)
+        assert run.error.step == 3
+        assert (run.lock_time, run.locked, run.spins) == (None, False, None)
+        assert all(math.isnan(v) for v in (run.final_R, run.final_error, run.energy, run.cut))
 
     def test_solve_returns_best_completed_attempt(self, diverge_for):
         g = random_instance(8, 0.8, "pm1", seed=5)
