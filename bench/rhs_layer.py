@@ -7,12 +7,17 @@ Run from anywhere, with no options::
 
 It imports ``oimsim`` from the ``src/`` of the checkout it sits in and, for
 each n in ``SIZES`` and each edge probability in ``DENSITIES``, times one
-call of every coupling path that ``oimsim.dynamics`` has (``_dense_coupling``:
-two BLAS matrix-vector products; ``_sparse_coupling``: one complex gather
-over the nonzeros and one complex segment sum per row), each called through
-the private function that makes it, and one call of the full ``make_rhs`` closure,
-which uses the path that ``make_rhs`` picks for that J.  A checkout without
-those functions reports only the closure.  BLAS runs on one thread, as the command line's
+call of every coupling kernel that ``oimsim.dynamics`` has (``_dense_coupling``
+of the dense J: two BLAS matrix-vector products; ``_sparse_coupling`` of
+the CSR arrays of J: one complex gather over the nonzeros and one complex
+segment sum per row), and one call of the full ``make_rhs`` closure of
+``IsingInstance(n, couplings=J)``, which runs the coupling operator that the
+instance's size-and-fill rule picked (``path``).  Those couplings are drawn
+as a dense (n, n) array.  For each n in ``TORUS_SIZES`` it draws instead a
++-1 graph with the edge count of a 2-D torus (2n edges, edge probability
+4 / (n - 1)) with ``random_instance`` and times the CSR kernel and the
+closure of ``ising_from_maxcut`` of it: no n x n array is built, and the
+dense kernel is not timed.  BLAS runs on one thread, as the command line's
 ``--threads 1`` and the benchmark in ``perfbench/`` run it.
 
 Each time is the median over ``BLOCKS`` blocks of repeated calls, in
@@ -41,12 +46,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from oimsim import dynamics  # noqa: E402
-from oimsim.dynamics import DynamicsConfig, make_rhs  # noqa: E402
-from oimsim.ising import IsingInstance  # noqa: E402
+from oimsim.dynamics import DynamicsConfig, _dense_coupling, _sparse_coupling, make_rhs  # noqa: E402
+from oimsim.ising import _CSR, IsingInstance, ising_from_maxcut, random_instance  # noqa: E402
 
 SIZES = (10, 100, 200, 400, 500, 800, 2000)
 DENSITIES = (0.06, 0.1, 0.125, 0.25, 1.0)
+TORUS_SIZES = (5000, 20000)
 BLOCKS = 7
 BLOCK_S = 0.02
 SEED = 0
@@ -56,6 +61,17 @@ def couplings(n: int, density: float, rng: np.random.Generator) -> np.ndarray:
     """Symmetric +-1 couplings, each pair i < j present with probability density."""
     upper = np.triu(rng.choice([-1.0, 1.0], (n, n)) * (rng.random((n, n)) < density), 1)
     return upper + upper.T
+
+
+def instances(rng: np.random.Generator):
+    """(n, density, instance, dense J or None) of every row, in table order."""
+    for n in SIZES:
+        for density in DENSITIES:
+            J = couplings(n, density, rng)
+            yield n, density, IsingInstance(n=n, couplings=J), J
+    for n in TORUS_SIZES:
+        density = 4.0 / (n - 1)
+        yield n, density, ising_from_maxcut(random_instance(n, density, "pm1", seed=SEED)), None
 
 
 def per_call_us(call) -> float:
@@ -75,33 +91,30 @@ def per_call_us(call) -> float:
 
 def main() -> int:
     rng = np.random.default_rng(SEED)
-    makers = {name: getattr(dynamics, f"_{name}_coupling", None) for name in ("dense", "sparse")}
-    pick = getattr(dynamics, "_coupling", None)
     cells = []
     reference_kernel()
     print(f"{'n':>5} {'density':>8} {'nnz':>8} {'dense_us':>10} {'sparse_us':>10} "
           f"{'rhs_us':>10} {'kernel_ms':>10}  path")
-    for n in SIZES:
-        for density in DENSITIES:
-            J = couplings(n, density, rng)
-            theta = rng.uniform(0.0, 2.0 * np.pi, n)
-            cos_t, sin_t = np.cos(theta), np.sin(theta)
-            cell = {"n": n, "density": density, "nnz": int(np.count_nonzero(J))}
-            kernel_before = timed_ms(reference_kernel, time.perf_counter)
-            for name, make in makers.items():
-                couple = make(J) if make else None
-                cell[f"{name}_us"] = per_call_us(lambda: couple(cos_t, sin_t)) if couple else None
-            f = make_rhs(IsingInstance(n=n, couplings=J), DynamicsConfig())
-            cell["rhs_us"] = per_call_us(lambda: f(theta, 0.0))
-            chosen = pick(J).__qualname__.split(".")[0] if pick else "_dense_coupling"
-            cell["path"] = chosen.strip("_").removesuffix("_coupling")
-            kernel_after = timed_ms(reference_kernel, time.perf_counter)
-            cell["kernel_ms"] = (kernel_before + kernel_after) / 2
-            cells.append(cell)
-            print(f"{n:>5} {density:>8} {cell['nnz']:>8} "
-                  + " ".join(f"{cell[k]:>10.1f}" if cell[k] is not None else f"{'-':>10}"
-                             for k in ("dense_us", "sparse_us", "rhs_us", "kernel_ms"))
-                  + f"  {cell['path']}")
+    for n, density, inst, J in instances(rng):
+        theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        csr = inst._operator if inst.sparse else _CSR.from_dense(J)
+        cell = {"n": n, "density": density, "nnz": int(np.count_nonzero(csr.vals))}
+        kernel_before = timed_ms(reference_kernel, time.perf_counter)
+        kernels = {"dense": _dense_coupling(J) if J is not None else None,
+                   "sparse": _sparse_coupling(csr)}
+        for name, couple in kernels.items():
+            cell[f"{name}_us"] = per_call_us(lambda: couple(cos_t, sin_t)) if couple else None
+        f = make_rhs(inst, DynamicsConfig())
+        cell["rhs_us"] = per_call_us(lambda: f(theta, 0.0))
+        cell["path"] = "sparse" if inst.sparse else "dense"
+        kernel_after = timed_ms(reference_kernel, time.perf_counter)
+        cell["kernel_ms"] = (kernel_before + kernel_after) / 2
+        cells.append(cell)
+        print(f"{n:>5} {density:>8.3g} {cell['nnz']:>8} "
+              + " ".join(f"{cell[k]:>10.1f}" if cell[k] is not None else f"{'-':>10}"
+                         for k in ("dense_us", "sparse_us", "rhs_us", "kernel_ms"))
+              + f"  {cell['path']}")
     doc = {**host_record(), "blocks": BLOCKS, "seed": SEED, "cells": cells}
     path = ROOT / f"BENCH_rhs_{doc['commit']}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_real
-from .ising import IsingInstance
+from .ising import _CSR, IsingInstance
 
 
 class Mode(str, enum.Enum):
@@ -127,38 +127,22 @@ class DynamicsConfig:
         return self.natural_freqs
 
 
-# Constants from bench/rhs_layer.py (one BLAS thread, x86_64): the CSR path
-# costs about as much as the two matvecs at 1/8 filled for n = 800 and 2000,
-# half as much at 6% filled, and more at any fill below about 500
-# oscillators, where J fits in cache and the fixed cost of the gather dominates.
-_SPARSE_FILL_DIVISOR = 8
-_SPARSE_MIN_N = 500
-
-
 def _dense_coupling(J: np.ndarray):
     """(J cos theta, J sin theta) as two BLAS matrix-vector products."""
     return lambda cos_t, sin_t: (J @ cos_t, J @ sin_t)
 
 
-def _sparse_coupling(J: np.ndarray):
-    """(J cos theta, J sin theta) over the nonzeros of J in row-major (CSR) order.
+def _sparse_coupling(csr: _CSR):
+    """(J cos theta, J sin theta) over the CSR arrays of J.
 
     Both come from one gather of z = cos theta + i sin theta: the real and
-    imaginary parts of the row sums of J_ij z_j.  A row without neighbours
-    gets one zero-weight entry, so that np.add.reduceat sees one segment per
-    row.
+    imaginary parts of the row sums of J_ij z_j, one np.add.reduceat segment
+    per row.
     """
-    n = J.shape[0]
-    rows, cols = np.nonzero(J)
-    vals = J[rows, cols]
-    lonely = np.flatnonzero(np.bincount(rows, minlength=n) == 0)
-    at = np.searchsorted(rows, lonely)
-    rows = np.insert(rows, at, lonely)
-    cols = np.insert(cols, at, lonely)
+    cols, starts = csr.cols, csr.starts
     # stored complex: numpy would cast each real weight v to v + 0i in
     # every product below, with the same bits
-    weights = np.insert(vals, at, 0.0).astype(complex)
-    starts = np.searchsorted(rows, np.arange(n))
+    weights = csr.vals.astype(complex)
 
     def couple(cos_t: np.ndarray, sin_t: np.ndarray):
         # fancy indexing into a fresh array: faster here than np.take into
@@ -171,12 +155,9 @@ def _sparse_coupling(J: np.ndarray):
     return couple
 
 
-def _coupling(J: np.ndarray):
-    """The coupling path for J: CSR when J is large and sparse, dense otherwise."""
-    n = J.shape[0]
-    if n >= _SPARSE_MIN_N and np.count_nonzero(J) * _SPARSE_FILL_DIVISOR <= n * n:
-        return _sparse_coupling(J)
-    return _dense_coupling(J)
+def _coupling(inst: IsingInstance):
+    """The coupling kernel of the instance's operator: CSR arrays or dense J."""
+    return (_sparse_coupling if inst.sparse else _dense_coupling)(inst._operator)
 
 
 def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
@@ -185,15 +166,15 @@ def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
     The coupling sum uses the identity
     sum_j J_ij sin(theta_i - theta_j) = sin(theta_i) (J cos theta)_i
                                       - cos(theta_i) (J sin theta)_i,
-    so every evaluation needs J cos theta and J sin theta.  With at least
-    500 oscillators and at most one nonzero coupling in eight they come from
+    so every evaluation needs J cos theta and J sin theta.  They come from
+    the instance's coupling operator: on CSR arrays (``inst.sparse``), from
     one complex gather of cos theta + i sin theta over the nonzeros of J and
-    one complex segment sum per row; otherwise from two matrix-vector
+    one complex segment sum per row; on a dense J, from two matrix-vector
     products.  The two paths agree to rounding, not bit for bit.  Each call
     returns a fresh array and keeps no state between calls, so one closure
     may be called from several threads at once.
     """
-    couple = _coupling(inst.couplings)
+    couple = _coupling(inst)
     sigma = cfg.sigma
     kappa = cfg.kappa_s
     mode = cfg.mode
@@ -261,7 +242,7 @@ def potential_energy(inst: IsingInstance, cfg: DynamicsConfig, state: PhaseState
     s = np.sin(theta)
     c = np.cos(theta)
     # sum_{i != j} J_ij cos(theta_i - theta_j) via the coupling of make_rhs
-    j_cos, j_sin = _coupling(inst.couplings)(c, s)
+    j_cos, j_sin = _coupling(inst)(c, s)
     pair_sum = c @ j_cos + s @ j_sin
     e = -0.5 * cfg.sigma * pair_sum
     if kappa:

@@ -56,14 +56,26 @@ class IntegratorConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded samples: times[k] pairs with phase row states[k]."""
+    """Recorded samples: times[k] pairs with phase row states[k].
+
+    The constructor copies the arrays it is given, so the caller's arrays
+    stay as they were, writable included; the trajectory's own are read-only.
+    """
 
     times: np.ndarray
     states: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        x = np.array(self.states, dtype=float)
+        self._hold(np.array(self.times, dtype=float), np.array(self.states, dtype=float))
+
+    @classmethod
+    def _adopt(cls, times: np.ndarray, states: np.ndarray) -> "Trajectory":
+        """A trajectory on float arrays that no one else holds, not copied."""
+        traj = object.__new__(cls)
+        traj._hold(times, states)
+        return traj
+
+    def _hold(self, t: np.ndarray, x: np.ndarray) -> None:
         if t.ndim != 1 or x.ndim != 2 or x.shape[0] != t.size:
             raise ValueError("times and states rows must align")
         if t.size < 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
@@ -117,8 +129,11 @@ def integrate(
     stride = icfg.record_every
 
     theta = init.phases
-    samples = [theta]
-    times = [0.0]
+    # one buffer, filled in place and handed to the Trajectory uncopied
+    samples = np.empty((icfg.n_samples, inst.n))
+    times = np.empty(icfg.n_samples)
+    samples[0], times[0] = theta, 0.0
+    k = 1
 
     noisy = dyn.noise_amplitude > 0.0
     if noisy:
@@ -138,13 +153,12 @@ def integrate(
         if not np.isfinite(theta).all():
             raise DivergenceError(step)
         if (step + 1) % stride == 0:
-            samples.append(theta)
-            times.append((step + 1) // stride * (stride * dt))
+            samples[k], times[k] = theta, (step + 1) // stride * (stride * dt)
+            k += 1
     if n_steps % stride:
-        samples.append(theta)
-        times.append(n_steps * dt)
+        samples[k], times[k] = theta, n_steps * dt
 
-    return Trajectory(np.array(times), np.array(samples))
+    return Trajectory._adopt(times, samples)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -20,37 +20,158 @@ from .errors import CapacityError, GraphParseError
 
 BRUTE_FORCE_MAX_N = 24
 _CHUNK_BITS = 16
+_BLOCK_ELEMENTS = 1 << 16   # gathered terms per row block of a CSR product
+
+
+# An IsingInstance holds CSR arrays instead of the dense J when it has at
+# least _SPARSE_MIN_N spins and at most one nonzero coupling in
+# _SPARSE_FILL_DIVISOR.  Coupling-kernel times from bench/rhs_layer.py
+# (BENCH_rhs_0b4861c-dirty.json, one BLAS thread, x86_64, one noisy run):
+# the CSR kernel, one complex gather of cos + i sin theta over the nonzeros
+# and one complex segment sum per row, against two dense matrix-vector
+# products, in us per call:
+# - 6% fill: dense faster at n = 200 (18 against 21); about even at n = 400
+#   (53 against 49); CSR 1.8x faster at n = 500, 3.3x at 800, 4.2x at 2000.
+# - 1/8 fill: dense faster at n = 500 (113 against 125); CSR 1.9x faster at
+#   n = 800 and at 2000.
+# - 1/4 fill: dense faster at every size, 1.3x at n = 800, 1.8x at 2000.
+# The size crossover now lies near n = 400, below _SPARSE_MIN_N.  The
+# constants stay as they are: a graph that changed path would change bits.
+_SPARSE_FILL_DIVISOR = 8
+_SPARSE_MIN_N = 500
+
+
+def _prefers_csr(n: int, nnz: int) -> bool:
+    """The size-and-fill rule: CSR for n >= _SPARSE_MIN_N spins with at most
+    one nonzero coupling in _SPARSE_FILL_DIVISOR, dense J otherwise."""
+    return n >= _SPARSE_MIN_N and nnz * _SPARSE_FILL_DIVISOR <= n * n
 
 
 @dataclass(frozen=True, eq=False)
-class IsingInstance:
-    """Symmetric pairwise couplings plus optional external field."""
+class _CSR:
+    """The nonzero couplings of a symmetric J, row by row with columns
+    ascending in each row: the order of ``np.nonzero(J)``.  A row without
+    nonzeros gets one zero-weight diagonal entry, so that each row i owns the
+    non-empty segment ``starts[i]:starts[i + 1]`` and ``np.add.reduceat``
+    over ``starts`` sees one segment per row."""
 
     n: int
-    couplings: np.ndarray
-    field: np.ndarray | None = None
+    starts: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"spin count must be >= 1, got {self.n}")
-        J = np.array(self.couplings, dtype=float)
-        if J.shape != (self.n, self.n):
-            raise ValueError(f"couplings must be {self.n}x{self.n}, got {J.shape}")
+    @classmethod
+    def from_sorted(cls, n: int, rows: np.ndarray, cols: np.ndarray,
+                    vals: np.ndarray) -> "_CSR":
+        """From entries sorted by row, then column, with nonzero weights."""
+        lonely = np.flatnonzero(np.bincount(rows, minlength=n) == 0)
+        at = np.searchsorted(rows, lonely)
+        rows = np.insert(rows, at, lonely)
+        cols = np.insert(cols, at, lonely)
+        vals = np.insert(vals, at, 0.0)
+        starts = np.searchsorted(rows, np.arange(n))
+        for arr in (starts, cols, vals):
+            arr.setflags(write=False)
+        return cls(n, starts, cols, vals)
+
+    @classmethod
+    def from_dense(cls, J: np.ndarray) -> "_CSR":
+        rows, cols = np.nonzero(J)
+        return cls.from_sorted(J.shape[0], rows, cols, J[rows, cols])
+
+    @classmethod
+    def from_edges(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "_CSR":
+        """Of J_ij = J_ji = -w for edges (i, j, w) with i < j and no repeats,
+        the same arrays as ``from_dense`` of that J, with no n x n array."""
+        keep = w != 0.0
+        i, j, w = i[keep], j[keep], w[keep]
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        vals = -np.concatenate([w, w])
+        order = np.argsort(rows * n + cols)  # keys are unique: edges do not repeat
+        return cls.from_sorted(n, rows[order], cols[order], vals[order])
+
+    def rows(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.starts, append=self.cols.size))
+
+    def dense(self) -> np.ndarray:
+        J = np.zeros((self.n, self.n))
+        J[self.rows(), self.cols] = self.vals
+        return J
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """``x @ J`` for a (k, n) array of rows, in row blocks of bounded size."""
+        out = np.empty(x.shape)
+        step = max(1, _BLOCK_ELEMENTS // self.cols.size)
+        for a in range(0, x.shape[0], step):
+            out[a:a + step] = np.add.reduceat(x[a:a + step, self.cols] * self.vals,
+                                              self.starts, axis=1)
+        return out
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class IsingInstance:
+    """Symmetric pairwise couplings plus optional external field.
+
+    ``IsingInstance(n, couplings, field=None)`` takes a dense (n, n) J and
+    checks it: finite, symmetric, zero diagonal.  The instance then holds one
+    coupling operator, picked once by the size-and-fill rule: CSR arrays of
+    J's nonzeros for a large sparse J (``sparse`` is True), the dense J
+    otherwise.  ``ising_from_maxcut`` builds the CSR arrays of a sparse graph
+    from its edge list, with no n x n array.  ``couplings`` is the dense J,
+    read-only; on a CSR instance it is built anew on each access.
+    """
+
+    n: int
+    field: np.ndarray
+
+    def __init__(self, n: int, couplings, field: np.ndarray | None = None):
+        if n < 1:
+            raise ValueError(f"spin count must be >= 1, got {n}")
+        J = np.array(couplings, dtype=float)
+        if J.shape != (n, n):
+            raise ValueError(f"couplings must be {n}x{n}, got {J.shape}")
         if not np.all(np.isfinite(J)):
             raise ValueError("couplings must be finite")
         if not np.array_equal(J, J.T):
             raise ValueError("couplings must be symmetric")
         if np.any(np.diag(J) != 0.0):
             raise ValueError("couplings must have zero diagonal")
-        h = np.zeros(self.n) if self.field is None else np.array(self.field, dtype=float)
-        if h.shape != (self.n,):
-            raise ValueError(f"field must have length {self.n}, got {h.shape}")
+        self._set(n, _CSR.from_dense(J) if _prefers_csr(n, np.count_nonzero(J)) else J, field)
+
+    @classmethod
+    def _of_csr(cls, csr: _CSR) -> "IsingInstance":
+        """A zero-field instance on CSR arrays built by this module."""
+        inst = object.__new__(cls)
+        inst._set(csr.n, csr, None)
+        return inst
+
+    def _set(self, n: int, operator: np.ndarray | _CSR, field: np.ndarray | None) -> None:
+        h = np.zeros(n) if field is None else np.array(field, dtype=float)
+        if h.shape != (n,):
+            raise ValueError(f"field must have length {n}, got {h.shape}")
         if not np.all(np.isfinite(h)):
             raise ValueError("field must be finite")
-        J.setflags(write=False)
+        if isinstance(operator, np.ndarray):
+            operator.setflags(write=False)
         h.setflags(write=False)
-        object.__setattr__(self, "couplings", J)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", h)
+        object.__setattr__(self, "_operator", operator)
+
+    @property
+    def sparse(self) -> bool:
+        """True when the couplings are held as CSR arrays, False when dense."""
+        return isinstance(self._operator, _CSR)
+
+    @property
+    def couplings(self) -> np.ndarray:
+        """The dense (n, n) J, read-only."""
+        if not self.sparse:
+            return self._operator
+        J = self._operator.dense()
+        J.setflags(write=False)
+        return J
 
     @property
     def has_field(self) -> bool:
@@ -152,7 +273,15 @@ def hamiltonian_energy(inst: IsingInstance, s: SpinAssignment) -> float:
 
 
 def energies(inst: IsingInstance, spins: np.ndarray) -> np.ndarray:
-    """Ising energy of each row of a (k, n) array of +-1 spins."""
+    """Ising energy of each row of a (k, n) array of +-1 spins.
+
+    On a CSR instance the products J s sum each row's nonzeros in a
+    different order than the dense matrix product, so real-valued weights
+    may give energies that differ in the last bits; integer weights give
+    the same energies."""
+    if inst.sparse:
+        products = inst._operator.products(spins)
+        return -0.5 * np.einsum("ki,ki->k", products, spins) - spins @ inst.field
     return _quadratic_energies(inst.couplings, inst.field, spins)
 
 
@@ -171,8 +300,16 @@ def cut_value(g: MaxCutInstance, s: SpinAssignment) -> float:
 
 
 def ising_from_maxcut(g: MaxCutInstance) -> IsingInstance:
-    """Map max-cut weights to couplings J_ij = -w_ij with zero field."""
+    """Map max-cut weights to couplings J_ij = -w_ij with zero field.
+
+    When the size-and-fill rule picks CSR arrays for the graph, they come
+    straight from its edge arrays, in O(n + m log m) time and O(n + m)
+    memory for m edges, with no n x n array: the same arrays that an
+    IsingInstance of the dense J would hold.  Otherwise the dense J is built.
+    """
     i, j, w = g.edge_arrays()
+    if _prefers_csr(g.n, 2 * np.count_nonzero(w)):
+        return IsingInstance._of_csr(_CSR.from_edges(g.n, i, j, w))
     J = np.zeros((g.n, g.n))
     J[i, j] = J[j, i] = -w
     return IsingInstance(n=g.n, couplings=J)

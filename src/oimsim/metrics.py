@@ -35,6 +35,7 @@ from .ising import (
 
 LOCK_THRESHOLD = 0.9
 LOCK_HOLD_SAMPLES = 50
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +77,22 @@ def _wrap(x: np.ndarray) -> np.ndarray:
 
 
 def _order_parameters(thetas: np.ndarray) -> np.ndarray:
-    """R of each phase row; rounding overshoot past 1 is clipped away."""
-    return np.minimum(np.abs(np.exp(2.0j * thetas).mean(axis=1)), 1.0)
+    """R of each phase row; rounding overshoot past 1 is clipped away.
+
+    The rows go through one reused complex buffer of about _BLOCK_ELEMENTS
+    entries, a block of rows at a time; each row's R has the same bits as
+    ``abs(exp(2j * row).mean())``.
+    """
+    k, n = thetas.shape
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    buf = np.empty((min(rows, k), n), dtype=complex)
+    r = np.empty(k)
+    for a in range(0, k, rows):
+        z = buf[:min(rows, k - a)]
+        np.multiply(2.0j, thetas[a:a + rows], out=z)
+        np.exp(z, out=z)
+        r[a:a + rows] = np.abs(z.mean(axis=1))
+    return np.minimum(r, 1.0, out=r)
 
 
 def _circular_stats(thetas: np.ndarray, doubled: bool = True) -> tuple[np.ndarray, np.ndarray]:

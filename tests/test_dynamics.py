@@ -19,19 +19,31 @@ from oimsim import (
     potential_energy,
     rhs,
 )
-from oimsim import dynamics
+from oimsim import ising
 from oimsim.dynamics import make_rhs
 from oimsim.experiments import reference_graph
 from oimsim.integrate import IntegratorConfig, initial_phases, integrate
 from oimsim.ising import ising_from_maxcut, random_instance
 
-COUPLING_PATHS = [dynamics._dense_coupling, dynamics._sparse_coupling]
+COUPLING_PATHS = ["dense", "sparse"]
 
 
-def rhs_via(path, inst: IsingInstance, cfg: DynamicsConfig):
-    """make_rhs with the coupling path forced to the one the given function makes."""
-    with mock.patch.object(dynamics, "_coupling", path):
-        return make_rhs(inst, cfg)
+def on_path(path: str, inst: IsingInstance) -> IsingInstance:
+    """The instance rebuilt from its dense J with the size-and-fill rule forced
+    to keep that J ("dense") or to take CSR arrays of it ("sparse")."""
+    if path == "dense":
+        forced = {"_SPARSE_MIN_N": inst.n + 1}
+    else:
+        forced = {"_SPARSE_MIN_N": 1, "_SPARSE_FILL_DIVISOR": 1}
+    with mock.patch.multiple(ising, **forced):
+        out = IsingInstance(n=inst.n, couplings=inst.couplings, field=inst.field)
+    assert out.sparse == (path == "sparse")
+    return out
+
+
+def rhs_via(path: str, inst: IsingInstance, cfg: DynamicsConfig):
+    """make_rhs on the instance's couplings with the coupling path forced."""
+    return make_rhs(on_path(path, inst), cfg)
 
 
 def reference_injection_phase(cfg: DynamicsConfig, t: float) -> float:
@@ -240,22 +252,22 @@ class TestCouplingPaths:
     @example(case=real_size_case())
     def test_sparse_rhs_equals_dense_rhs(self, case):
         inst, cfg, theta, t = case
-        dense = rhs_via(dynamics._dense_coupling, inst, cfg)(theta, t)
-        sparse = rhs_via(dynamics._sparse_coupling, inst, cfg)(theta, t)
+        dense = rhs_via("dense", inst, cfg)(theta, t)
+        sparse = rhs_via("sparse", inst, cfg)(theta, t)
         assert np.max(np.abs(sparse - dense)) <= 1e-12
 
     def test_path_follows_size_and_fill(self):
-        n = dynamics._SPARSE_MIN_N
-        budget = n * n // dynamics._SPARSE_FILL_DIVISOR  # most nonzeros the sparse path takes
+        n = ising._SPARSE_MIN_N
+        budget = n * n // ising._SPARSE_FILL_DIVISOR  # most nonzeros the sparse path takes
         rows, cols = np.triu_indices(n, 1)
         J = np.zeros((n, n))
         J[rows[:budget // 2], cols[:budget // 2]] = 1.0
         J += J.T
         assert np.count_nonzero(J) == budget
-        assert "_sparse_coupling" in dynamics._coupling(J).__qualname__
+        assert IsingInstance(n=n, couplings=J).sparse
         J[rows[budget // 2], cols[budget // 2]] = J[cols[budget // 2], rows[budget // 2]] = 1.0
-        assert "_dense_coupling" in dynamics._coupling(J).__qualname__
-        assert "_dense_coupling" in dynamics._coupling(np.zeros((n - 1, n - 1))).__qualname__
+        assert not IsingInstance(n=n, couplings=J).sparse
+        assert not IsingInstance(n=n - 1, couplings=np.zeros((n - 1, n - 1))).sparse
 
     @pytest.mark.parametrize("inst", [
         ising_from_maxcut(reference_graph()),
@@ -295,10 +307,9 @@ class TestLyapunov:
     @pytest.mark.parametrize("density", [0.06, 0.5])
     @pytest.mark.parametrize("mode", [Mode.DISTRIBUTED, Mode.COUPLED_ONLY])
     def test_potential_never_rises_along_noiseless_rk4(self, mode, density):
-        n = dynamics._SPARSE_MIN_N
+        n = ising._SPARSE_MIN_N
         inst = ising_from_maxcut(random_instance(n, density, "pm1", seed=3))
-        sparse = np.count_nonzero(inst.couplings) * dynamics._SPARSE_FILL_DIVISOR <= n * n
-        assert sparse == (density < 0.1)  # one graph per coupling path
+        assert inst.sparse == (density < 0.1)  # one graph per coupling path
         cfg = DynamicsConfig(sigma=0.2, kappa_s=0.75, mode=mode)
         traj = integrate(inst, cfg, IntegratorConfig(dt=0.005, t_end=1.0, record_every=2),
                          initial_phases(n, 4))

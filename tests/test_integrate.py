@@ -19,7 +19,6 @@ from oimsim import (
     potential_energy,
     trajectory_to_csv,
 )
-from oimsim import dynamics
 from oimsim.dynamics import make_rhs
 from oimsim.integrate import _noise_rng
 
@@ -43,8 +42,9 @@ def sparse_system(n, density, seed):
 
 def reference_integrate(inst, dyn, icfg, init) -> np.ndarray:
     """Recorded phase rows of an in-place stepper on the same make_rhs, whose
-    RK4 stages and EM drift accumulate into n-long buffers; integrate must
-    give the same bits."""
+    RK4 stages and EM drift accumulate into n-long buffers and whose samples
+    are appended to a list; integrate must give the same bits, and raise
+    DivergenceError at the same step."""
     f = make_rhs(inst, dyn)
     dt, stride = icfg.dt, icfg.record_every
     theta = init.phases.copy()
@@ -79,6 +79,8 @@ def reference_integrate(inst, dyn, icfg, init) -> np.ndarray:
             stage += k4
             stage *= dt / 6.0
             theta += stage
+        if not np.isfinite(theta).all():
+            raise DivergenceError(step)
         if (step + 1) % stride == 0:
             rows.append(theta.copy())
     if icfg.n_steps % stride:
@@ -176,13 +178,28 @@ class TestDeterminismAndSymmetry:
         sparse_system(600, 0.06, seed=2),
     ], ids=["dense10", "sparse600"])
     def test_same_bits_as_the_buffered_stepper(self, inst, noise):
-        path = dynamics._coupling(inst.couplings).__qualname__
-        assert ("_sparse_coupling" in path) == (inst.n == 600)
+        assert inst.sparse == (inst.n == 600)
         dyn = DynamicsConfig(sigma=0.5, noise_amplitude=noise)
         icfg = IntegratorConfig(dt=0.01, t_end=2.0, record_every=7, seed=3)
         init = initial_phases(inst.n, 3)
         traj = integrate(inst, dyn, icfg, init)
+        assert icfg.n_steps % icfg.record_every != 0
         assert np.array_equal(traj.states, reference_integrate(inst, dyn, icfg, init))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["rk4", "em"])
+    def test_diverges_at_the_same_step_as_the_buffered_stepper(self, noise):
+        # a natural frequency of 1e307 overflows the phase after about 180
+        # steps of dt = 0.1; the RK4 stage sums stay below the largest float
+        dyn = DynamicsConfig(sigma=0.0, mode=Mode.FREE, natural_freqs=[1e307, -1e307, 0.5],
+                             noise_amplitude=noise)
+        icfg = IntegratorConfig(dt=0.1, t_end=20.0, record_every=7, seed=3)
+        inst, init = random_system(3, seed=1), initial_phases(3, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as got:
+                integrate(inst, dyn, icfg, init)
+            with pytest.raises(DivergenceError) as want:
+                reference_integrate(inst, dyn, icfg, init)
+        assert 100 < got.value.step == want.value.step < icfg.n_steps
 
     def test_global_shift_equivariance(self):
         inst = random_system(5, seed=7)
@@ -258,6 +275,23 @@ class TestConfigAndExport:
             Trajectory([0, 1], [[np.nan, 0], [0.1, 3.0]])
         with pytest.raises(ValueError, match="finite"):
             Trajectory([0, 1], [[0.0, 0.0], [np.inf, 3.0]])
+
+    def test_trajectory_copies_the_callers_arrays(self):
+        times, states = np.array([0.0, 0.5]), np.array([[0.1, 0.2], [0.3, 0.4]])
+        traj = Trajectory(times, states)
+        assert times.flags.writeable and states.flags.writeable
+        times[1], states[1, 0] = 9.0, 9.0
+        assert traj.times[1] == 0.5 and traj.states[1, 0] == 0.3
+        for arr in (traj.times, traj.states):
+            assert not arr.flags.writeable
+
+    def test_integrated_trajectory_is_read_only(self):
+        traj = integrate(pair(), DynamicsConfig(), IntegratorConfig(dt=0.01, t_end=0.2),
+                         PhaseState([0.1, 0.2]))
+        for arr in (traj.times, traj.states):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     def test_final_step_recorded_off_the_record_grid(self):
         inst = pair()

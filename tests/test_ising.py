@@ -1,26 +1,33 @@
 """Problem representation, energies, conversion, parsing, and the exact oracle."""
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oimsim import (
     CapacityError,
+    DynamicsConfig,
     GraphParseError,
     IsingInstance,
     MaxCutInstance,
+    Mode,
+    PhaseState,
     SpinAssignment,
     brute_force_ground_state,
     cut_value,
     hamiltonian_energy,
     ising_from_maxcut,
+    make_rhs,
     parse_graph,
+    potential_energy,
     random_instance,
     serialize_graph,
 )
+from oimsim import ising
 from oimsim.ising import _bit_spins, _signed_sums, energies
 
 
@@ -112,6 +119,57 @@ def pair_instance(j12: float) -> IsingInstance:
 
 def triangle_graph(w: float = 1.0) -> MaxCutInstance:
     return MaxCutInstance(n=3, edges=((0, 1, w), (0, 2, w), (1, 2, w)))
+
+
+def dense_couplings(g: MaxCutInstance) -> np.ndarray:
+    """J_ij = J_ji = -w_ij of a graph, built as an n x n array."""
+    J = np.zeros((g.n, g.n))
+    i, j, w = g.edge_arrays()
+    J[i, j] = J[j, i] = -w
+    return J
+
+
+def dense_instance(g: MaxCutInstance) -> IsingInstance:
+    """The instance of a graph's dense J, kept dense whatever its size and fill."""
+    with mock.patch.object(ising, "_SPARSE_MIN_N", g.n + 1):
+        inst = IsingInstance(n=g.n, couplings=dense_couplings(g))
+    assert not inst.sparse
+    return inst
+
+
+def torus(rows: int, cols: int, seed: int) -> MaxCutInstance:
+    """A rows x cols 2-D torus with +-1 weights, each vertex joined to its
+    right and lower neighbours."""
+    v = np.arange(rows * cols).reshape(rows, cols)
+    pairs = np.concatenate([
+        np.stack([v.ravel(), np.roll(v, -1, axis=1).ravel()], axis=1),
+        np.stack([v.ravel(), np.roll(v, -1, axis=0).ravel()], axis=1),
+    ])
+    pairs.sort(axis=1)
+    w = np.random.default_rng(seed).choice([-1.0, 1.0], len(pairs))
+    return MaxCutInstance(n=rows * cols, edges=tuple(zip(*pairs.T.tolist(), w.tolist())))
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs on 500-900 vertices at 0.2-3% fill, so on the CSR path: +-1 or
+    uniform(-1, 1) weights, some of them set to +-0, some vertices stripped
+    of all their edges, and the edges in row-major or shuffled order."""
+    n = draw(st.integers(500, 900))
+    weight_set = draw(st.sampled_from(["pm1", "uniform"]))
+    g = random_instance(n, draw(st.floats(0.002, 0.03)), weight_set,
+                        seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    isolated = rng.random(n) < draw(st.floats(0.0, 0.3))
+    zeroed = rng.random(len(g.edges)) < draw(st.floats(0.0, 0.3))
+    edges = [(i, j, rng.choice([0.0, -0.0]) if z else w)
+             for (i, j, w), z in zip(g.edges, zeroed) if not (isolated[i] or isolated[j])]
+    if draw(st.booleans()):
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+    return MaxCutInstance(n=n, edges=tuple(edges))
+
+
+BENCHMARK_GRAPH = random_instance(800, 0.06, "pm1", seed=3)  # the solve_g800 graph of seed 3
 
 
 weights = st.floats(-2.0, 2.0, allow_nan=False)
@@ -326,6 +384,91 @@ class TestConversion:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
+
+
+class TestCouplingOperator:
+    """The one coupling operator of an IsingInstance: dense J, or CSR arrays
+    built from a graph's edges or from a dense J."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(g=sparse_graphs(), seed=st.integers(0, 2**16))
+    @example(g=BENCHMARK_GRAPH, seed=0)
+    def test_csr_from_edges_equals_csr_from_dense_j(self, g, seed):
+        from_edges = ising_from_maxcut(g)
+        from_j = IsingInstance(n=g.n, couplings=dense_couplings(g))
+        assert from_edges.sparse and from_j.sparse
+        a, b = from_edges._operator, from_j._operator
+        for name in ("starts", "cols", "vals"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert np.array_equal(a.rows(), b.rows())
+        # the stored entries are the nonzeros of J in np.nonzero order, plus
+        # one zero-weight diagonal entry for each row without any
+        J = dense_couplings(g)
+        real = a.vals != 0.0
+        assert np.array_equal(np.stack([a.rows()[real], a.cols[real]]), np.stack(np.nonzero(J)))
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(-10.0, 10.0, g.n)
+        cfg = DynamicsConfig(sigma=1.3, kappa_s=0.8, mode=Mode.CENTRALIZED, injection_phase=0.4)
+        assert np.array_equal(make_rhs(from_edges, cfg)(theta, 2.5),
+                              make_rhs(from_j, cfg)(theta, 2.5))
+
+    @pytest.mark.parametrize("n", [ising._SPARSE_MIN_N - 1, ising._SPARSE_MIN_N])
+    @pytest.mark.parametrize("density", [0.06, 0.12, 0.13, 0.5])
+    def test_edges_and_dense_j_pick_the_same_operator(self, n, density):
+        g = random_instance(n, density, "pm1", seed=1)
+        expected = n >= ising._SPARSE_MIN_N and density < 0.125
+        assert ising_from_maxcut(g).sparse == expected
+        assert IsingInstance(n=n, couplings=dense_couplings(g)).sparse == expected
+
+    @settings(deadline=None, max_examples=20)
+    @given(g=sparse_graphs(), seed=st.integers(0, 2**16))
+    @example(g=BENCHMARK_GRAPH, seed=0)
+    def test_energies_match_the_dense_instance(self, g, seed):
+        # within 1e-12 of the largest |energy| any assignment can have;
+        # exact when every weight is an integer, as sums of integers are
+        sparse, dense = ising_from_maxcut(g), dense_instance(g)
+        w = g.edge_arrays()[2]
+        integer = np.array_equal(w, np.round(w))
+        scale = max(1.0, np.abs(w).sum())
+        rng = np.random.default_rng(seed)
+        k = 2 * ising._BLOCK_ELEMENTS // sparse._operator.cols.size + 3  # spans row blocks
+        spins = rng.choice([-1.0, 1.0], (k, g.n))
+        got, want = energies(sparse, spins), energies(dense, spins)
+        one = SpinAssignment(spins[0])
+        got_one, want_one = hamiltonian_energy(sparse, one), hamiltonian_energy(dense, one)
+        if integer:
+            assert np.array_equal(got, want)
+            assert got_one == want_one
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            assert abs(got_one - want_one) <= 1e-12 * scale
+        cfg = DynamicsConfig(sigma=0.7, kappa_s=0.6, mode=Mode.DISTRIBUTED, injection_phase=0.3)
+        state = PhaseState(rng.uniform(-10.0, 10.0, g.n))
+        potential = [potential_energy(inst, cfg, state) for inst in (sparse, dense)]
+        assert abs(potential[0] - potential[1]) <= 1e-12 * (0.7 * scale + 0.6 * g.n)
+
+    def test_couplings_of_a_csr_instance_are_the_dense_j_read_only(self):
+        g = BENCHMARK_GRAPH
+        for inst in (ising_from_maxcut(g), IsingInstance(n=g.n, couplings=dense_couplings(g))):
+            assert inst.sparse
+            J = inst.couplings
+            assert np.array_equal(J, dense_couplings(g))
+            assert not J.flags.writeable
+            with pytest.raises(ValueError):
+                J[0, 1] = 2.0
+
+    def test_torus_build_and_rhs_allocate_edges_not_pairs(self):
+        # a 5000-vertex torus: the dense J alone would be 200 MB
+        g = torus(50, 100, seed=2)
+        tracemalloc.start()
+        try:
+            f = make_rhs(ising_from_maxcut(g), DynamicsConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert callable(f)
+        assert peak < 4 * 2**20
 
 
 class TestEdgeRules:

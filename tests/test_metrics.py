@@ -27,6 +27,7 @@ from oimsim import (
     score_trajectory,
     traces_to_csv,
 )
+from oimsim.metrics import _order_parameters
 
 
 def _wrap(x):
@@ -260,6 +261,15 @@ class TestScoring:
         text = traces_to_csv(np.array([0.0, 1.0]), traces)
         assert text.startswith("t,R,e_theta,energy\n")
         assert len(text.strip().split("\n")) == 3
+
+
+class TestOrderParameterBlocks:
+    @pytest.mark.parametrize("k, n", [(1, 1), (3, 5), (201, 800), (7, 20000), (5, 70000)])
+    def test_blocks_keep_the_bits_of_one_expression(self, k, n):
+        # rows per block: 81 at n = 800, 3 at n = 20000, 1 at n = 70000
+        thetas = np.random.default_rng(n).uniform(-30.0, 30.0, (k, n))
+        expected = np.minimum(np.abs(np.exp(2.0j * thetas).mean(axis=1)), 1.0)
+        assert np.array_equal(_order_parameters(thetas), expected)
 
 
 class TestBatchedObservables:
