@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Reproduce the bundled artifacts and the demo outputs, and print their SHA-256s.
+
+Run from anywhere, with no options::
+
+    python3 bench/artifacts.py
+
+It runs the command line from the root of the checkout it sits in, with
+that checkout's ``src`` first on ``PYTHONPATH``, default flags and BLAS on
+one thread:
+
+- ``sweep`` on ``sweep_sigma_reference.json`` and
+  ``sweep_kappa_reference.json``, and ``compare`` on
+  ``compare_reference.json``: the files they write, into a temporary
+  directory;
+- ``solve`` on ``triangle``, ``reference10`` and ``frustrated10``, and
+  ``oracle`` on ``reference10`` and ``frustrated10``: their standard output.
+  Each graph is given as the relative path ``src/oimsim/data/<g>.graph``,
+  which the output echoes;
+- every script in ``demos/``: its standard output.
+
+It prints one ``name sha256`` line per output, and ``ARTIFACTS_<commit>.json``
+at the root of the checkout records the digests with the host record of
+``harness.py``.  No digest is pinned: BLAS kernels differ across CPUs, so
+compare the files of two commits taken on one host.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from harness import ROOT, host_record
+
+DATA = "src/oimsim/data"
+FILE_OUTPUTS = {
+    "sweep_sigma": ["sweep", f"{DATA}/sweep_sigma_reference.json"],
+    "sweep_kappa": ["sweep", f"{DATA}/sweep_kappa_reference.json"],
+    "compare": ["compare", f"{DATA}/compare_reference.json"],
+}
+STDOUT_OUTPUTS = {
+    **{f"solve_{g}": ["solve", f"{DATA}/{g}.graph"]
+       for g in ("triangle", "reference10", "frustrated10")},
+    **{f"oracle_{g}": ["oracle", f"{DATA}/{g}.graph"] for g in ("reference10", "frustrated10")},
+}
+
+
+def run(args: list[str]) -> bytes:
+    """Standard output of ``python args`` run from the checkout root."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(args)} exited {proc.returncode}:\n{proc.stderr.decode()}")
+    return proc.stdout
+
+
+def outputs():
+    """(name, bytes) of every output, in a fixed order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in FILE_OUTPUTS.items():
+            out = Path(tmp) / name
+            run(["-m", "oimsim", *args, str(out)])
+            yield name, out.read_bytes()
+    for name, args in STDOUT_OUTPUTS.items():
+        yield name, run(["-m", "oimsim", *args])
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        yield f"demo_{demo.stem}", run([f"demos/{demo.name}"])
+
+
+def main() -> int:
+    digests = {}
+    for name, data in outputs():
+        digests[name] = hashlib.sha256(data).hexdigest()
+        print(f"{name:<26} {digests[name]}", flush=True)
+    doc = {**host_record(), "artifacts": digests}
+    path = ROOT / f"ARTIFACTS_{doc['commit']}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

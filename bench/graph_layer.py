@@ -11,6 +11,12 @@ seed=SEED)``, ``serialize_graph`` of the graph it returns, and
 ``parse_graph`` of that text.  BLAS runs on one thread, as in the other
 harnesses here.
 
+After the timed calls, each stage runs once more under ``tracemalloc``:
+``peak_mib`` is the peak traced memory of that call, and ``retained_mib``
+what is still traced when it returns, that is, what the returned graph (or
+text, for ``serialize_graph``) holds.  Its inputs were built before tracing
+starts.
+
 Each time is the median CPU time (``time.process_time``) per call over up
 to ``BLOCKS`` blocks; a block repeats the call until it has run
 ``BLOCK_S``.  A row's blocks stop once they have used ``BUDGET_S``, so a
@@ -34,6 +40,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 
 from harness import ROOT, host_record, reference_kernel, timed_ms  # noqa: E402
 
@@ -65,33 +72,53 @@ def cpu_s_per_call(call) -> tuple[float, int, object]:
     return statistics.median(blocks), calls, result
 
 
+def traced_mib(call) -> tuple[float, float]:
+    """The tracemalloc peak of one call, and what its result retains, in MiB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak / 2**20, retained / 2**20
+
+
 def main() -> int:
     reference_kernel()
     rows = []
     stages = ("random_instance", "serialize_graph", "parse_graph")
     print(f"{'n':>6} {'density':>8} {'edges':>7} "
-          + " ".join(f"{stage + '_ms':>19} {'edges/s':>9}" for stage in stages)
+          + " ".join(f"{stage + '_ms':>19} {'edges/s':>9} {'peak_MiB':>9} {'kept_MiB':>9}"
+                     for stage in stages)
           + f" {'kernel_ms':>10}")
     for n, density in ROWS:
         kernel_before = timed_ms(reference_kernel, time.process_time)
+        out = {}    # each stage's result, the next stage's input
+        calls = {
+            "random_instance": lambda: random_instance(n, density, "pm1", seed=SEED),
+            "serialize_graph": lambda: serialize_graph(out["random_instance"]),
+            "parse_graph": lambda: parse_graph(out["serialize_graph"]),
+        }
         timings = {}
-        cpu_s, calls, g = cpu_s_per_call(lambda: random_instance(n, density, "pm1", seed=SEED))
-        timings["random_instance"] = (cpu_s, calls)
-        cpu_s, calls, text = cpu_s_per_call(lambda: serialize_graph(g))
-        timings["serialize_graph"] = (cpu_s, calls)
-        cpu_s, calls, parsed = cpu_s_per_call(lambda: parse_graph(text))
-        timings["parse_graph"] = (cpu_s, calls)
+        for stage, call in calls.items():
+            cpu_s, count, out[stage] = cpu_s_per_call(call)
+            timings[stage] = (cpu_s, count)
         kernel_after = timed_ms(reference_kernel, time.process_time)
-        assert parsed.edges == tuple(sorted(g.edges))
-        edges = len(g.edges)
+        g = out["random_instance"]
+        assert out["parse_graph"].edges == tuple(sorted(g.edges))
+        edges = g.edge_arrays()[0].size
         row = {"n": n, "density": density, "edges": edges,
                "kernel_ms": (kernel_before + kernel_after) / 2}
-        for stage, (cpu_s, calls) in timings.items():
-            row[stage] = {"calls": calls, "cpu_ms": 1e3 * cpu_s,
-                          "edges_per_s": edges / cpu_s}
+        for stage, (cpu_s, count) in timings.items():
+            peak_mib, retained_mib = traced_mib(calls[stage])
+            row[stage] = {"calls": count, "cpu_ms": 1e3 * cpu_s,
+                          "edges_per_s": edges / cpu_s,
+                          "peak_mib": peak_mib, "retained_mib": retained_mib}
         rows.append(row)
         print(f"{n:>6} {density:>8} {edges:>7} "
               + " ".join(f"{row[stage]['cpu_ms']:>19.3f} {row[stage]['edges_per_s']:>9.3g}"
+                         f" {row[stage]['peak_mib']:>9.2f} {row[stage]['retained_mib']:>9.2f}"
                          for stage in stages)
               + f" {row['kernel_ms']:>10.1f}")
     doc = {**host_record(), "blocks": BLOCKS, "block_s": BLOCK_S, "budget_s": BUDGET_S,

@@ -160,10 +160,15 @@ def _resolve_config_graph(cfg: dict, config_dir: Path | None) -> MaxCutInstance:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write through a temporary file moved into place, with the mode that
+    ``open(path, "w")`` gives a new file: 0o666 less the umask."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError:
         try:
@@ -363,7 +368,7 @@ def cmd_gen(args) -> int:
         return EXIT_USAGE
     g = random_instance(args.n, args.density, args.weights, args.seed)
     _atomic_write(Path(args.out), serialize_graph(g))
-    _info(args, f"wrote {args.n} vertices, {len(g.edges)} edges to {args.out}")
+    _info(args, f"wrote {args.n} vertices, {g.edge_arrays()[0].size} edges to {args.out}")
     return EXIT_OK
 
 

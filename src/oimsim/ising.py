@@ -11,7 +11,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Iterable, Literal, TextIO
 
 import numpy as np
@@ -211,33 +212,60 @@ def _check_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> None:
         raise _EdgeRuleError(k, template, int(i[k]), int(j[k]), n)
 
 
-@dataclass(frozen=True, eq=False)
+def _check_edge_types(icol: tuple, jcol: tuple, wcol: tuple) -> None:
+    """Raise ValueError naming the first edge, in edge order, whose vertex
+    indices are not both integers or whose weight is not a real number; a
+    bool is neither."""
+    def foreign(col: tuple, kind: type) -> set:
+        return {t for t in set(map(type, col)) if not issubclass(t, kind) or issubclass(t, bool)}
+
+    bad = (foreign(icol, numbers.Integral), foreign(jcol, numbers.Integral),
+           foreign(wcol, numbers.Real))
+    if any(bad):
+        edge = next(e for e in zip(icol, jcol, wcol) if any(type(v) in b for v, b in zip(e, bad)))
+        raise ValueError(f"edge {edge!r} needs integer vertices and a real weight")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class MaxCutInstance:
-    """Weighted undirected graph for max-cut, edges stored as (i, j, w) with i < j."""
+    """Weighted undirected graph for max-cut, edges (i, j, w) with i < j.
+
+    ``MaxCutInstance(n, edges)`` takes an integer ``n`` and (i, j, w) triples
+    of integer vertices and real weights, bools excluded; it checks their
+    types, then the edge rules.  It holds only ``n`` and the read-only arrays
+    of ``edge_arrays()``; ``edges`` builds Python triples on each access.
+    """
 
     n: int
-    edges: tuple
-    _arrays: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        icol, jcol, wcol = tuple(zip(*self.edges, strict=True)) or ((), (), ())
+    def __init__(self, n: int, edges: Iterable[tuple]):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {n}")
+        icol, jcol, wcol = tuple(zip(*edges, strict=True)) or ((), (), ())
+        _check_edge_types(icol, jcol, wcol)
         try:
             i, j = (np.array(col, dtype=np.int64) for col in (icol, jcol))
         except OverflowError:  # such indices can only break the range rule
             i, j = (np.array(col, dtype=object) for col in (icol, jcol))
         w = np.array(wcol, dtype=float)
-        _check_edges(self.n, i, j, w)
+        _check_edges(n, i, j, w)
         arrays = (i.astype(np.int64, copy=False), j.astype(np.int64, copy=False), w)
         for arr in arrays:
             arr.setflags(write=False)
-        object.__setattr__(self, "edges", tuple(zip(*(arr.tolist() for arr in arrays))))
+        object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "_arrays", arrays)
 
     @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as Python (int, int, float) triples, in edge order."""
+        return tuple(zip(*(arr.tolist() for arr in self._arrays)))
+
+    @property
     def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        """The sum of the weights, left to right in edge order."""
+        return float(sum(self._arrays[2].tolist()))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Edge endpoints and weights as read-only parallel arrays, in edge order."""
@@ -452,9 +480,10 @@ def parse_graph(source: str | TextIO | Iterable[str]) -> MaxCutInstance:
 
 def serialize_graph(g: MaxCutInstance) -> str:
     """Emit the edge list format with 1-indexed, lexicographically sorted edges."""
-    lines = [f"{g.n} {len(g.edges)}"]
-    for i, j, w in sorted(g.edges):
-        lines.append(f"{i + 1} {j + 1} {w!r}")
+    i, j, w = g.edge_arrays()
+    lines = [f"{g.n} {w.size}"]
+    for a, b, x in sorted(zip(i.tolist(), j.tolist(), w.tolist())):
+        lines.append(f"{a + 1} {b + 1} {x!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -495,7 +524,7 @@ def random_instance(
         w = rng.choice([-1.0, 1.0], size=k.size)
     else:
         w = rng.uniform(-1.0, 1.0, size=k.size)
-    return MaxCutInstance(n=n, edges=tuple(zip(i.tolist(), j.tolist(), w.tolist())))
+    return MaxCutInstance(n=n, edges=zip(i.tolist(), j.tolist(), w.tolist()))
 
 
 def _kept_pairs(rng: np.random.Generator, pairs: int, density: float) -> np.ndarray:

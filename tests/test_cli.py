@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, schemas, determinism."""
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +213,35 @@ class TestCompareCommand:
             assert run_cli("compare", cfg, out, "--threads", threads, "--quiet").returncode == 0
             digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
         assert len(digests) == 1
+
+
+class TestOutputMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["umask-022", "umask-027"])
+    def test_outputs_get_the_mode_open_gives_a_new_file(self, tmp_path, umask, mode):
+        # written through a temporary file, which mkstemp makes 0o600
+        from oimsim import cli
+
+        sweep_cfg = write_tiny_sweep_config(tmp_path / "sweep.json")
+        compare_cfg = tmp_path / "cmp.json"
+        compare_cfg.write_text(json.dumps({"integrator": {"t_end": 6.0},
+                                           "compare": {"seeds": list(range(10))}}))
+        outs = {name: tmp_path / name for name in ("g.graph", "s.csv", "c.json")}
+        outs["s.csv"].write_text("")
+        outs["s.csv"].chmod(0o600)      # an existing output is replaced, mode included
+        argvs = (["gen", str(outs["g.graph"]), "--n", "6", "--density", "0.5", "--quiet"],
+                 ["sweep", str(sweep_cfg), str(outs["s.csv"]), "--quiet"],
+                 ["compare", str(compare_cfg), str(outs["c.json"]), "--quiet"])
+        old = os.umask(umask)
+        try:
+            codes = [cli.main(argv) for argv in argvs]
+        finally:
+            os.umask(old)
+        assert codes == [0, 0, 0]
+        for path in outs.values():
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["sweep.json", "cmp.json", *outs])
 
 
 class TestConfigHandling:

@@ -502,6 +502,130 @@ class TestEdgeRules:
         with pytest.raises(ValueError):
             MaxCutInstance(n=3, edges=((0, 1),))
 
+    @pytest.mark.parametrize("n, edges, message", [
+        pytest.param(3, ((0, 1.5, 1.0),), r"edge \(0, 1\.5, 1\.0\) needs integer vertices",
+                     id="float-index"),
+        pytest.param(3, ((0, True, 1.0),), r"edge \(0, True, 1\.0\) needs integer vertices",
+                     id="bool-index"),
+        pytest.param(3, ((np.bool_(False), 1, 1.0),), "needs integer vertices",
+                     id="numpy-bool-index"),
+        pytest.param(3, ((0, np.float64(1.0), 1.0),), "needs integer vertices",
+                     id="numpy-float-index"),
+        pytest.param(3, ((0, 1, "2.5"),),
+                     r"edge \(0, 1, '2\.5'\) needs integer vertices and a real weight",
+                     id="str-weight"),
+        pytest.param(3, ((0, 1, True),),
+                     r"edge \(0, 1, True\) needs integer vertices and a real weight",
+                     id="bool-weight"),
+        # a type fault is reported before an earlier edge's rule fault
+        pytest.param(3, ((1, 1, 1.0), (0, 2, 1.0), (0, 1, "1")), r"edge \(0, 1, '1'\)",
+                     id="type-before-rule"),
+        pytest.param(3.5, ((0, 3, 1.0),), "vertex count must be an integer, got 3.5",
+                     id="float-n"),
+        pytest.param(True, (), "vertex count must be an integer, got True", id="bool-n"),
+        pytest.param(np.float64(3.0), (), "vertex count must be an integer",
+                     id="numpy-float-n"),
+    ])
+    def test_types_are_checked_before_rules(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            MaxCutInstance(n=n, edges=edges)
+
+    @pytest.mark.parametrize("n, edges, expected", [
+        pytest.param(np.int64(3), ((np.int64(0), np.int64(2), 2),), ((0, 2, 2.0),),
+                     id="numpy-int-n-and-index-int-weight"),
+        pytest.param(3, ((0, np.int32(1), np.float32(0.5)), (1, 2, np.float32(0.1))),
+                     ((0, 1, 0.5), (1, 2, float(np.float32(0.1)))), id="float32-weights"),
+    ])
+    def test_numpy_integers_and_real_weights_are_accepted(self, n, edges, expected):
+        g = MaxCutInstance(n=n, edges=edges)
+        assert type(g.n) is int and g.n == 3
+        assert g.edges == expected
+
+
+def reference_serialize_graph(g: MaxCutInstance) -> str:
+    """The edge list format written from the sorted edge tuples."""
+    lines = [f"{g.n} {len(g.edges)}"]
+    for i, j, w in sorted(g.edges):
+        lines.append(f"{i + 1} {j + 1} {w!r}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """Graphs on n <= 30 vertices, edges in any order, with weights drawn
+    from uniform(-1, 1), +-0 and magnitudes near 1e-300 and 1e300."""
+    n = draw(st.integers(1, 30))
+    pairs = list(itertools.combinations(range(n), 2))
+    kept = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+    weight = st.one_of(
+        st.floats(-1.0, 1.0, exclude_max=True),
+        st.sampled_from([0.0, -0.0]),
+        st.sampled_from([1.0, -1.0, 3.7, -0.3]).map(lambda x: x * 1e-300),
+        st.sampled_from([1.0, -1.0, 1.7, -0.3]).map(lambda x: x * 1e300),
+    )
+    return MaxCutInstance(n=n, edges=tuple((i, j, draw(weight)) for i, j in kept))
+
+
+def float_bits(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestEdgeStorage:
+    """A graph holds its edges once, as three read-only arrays."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(g=shuffled_graphs())
+    def test_serialize_matches_the_tuple_sorting_formatter(self, g):
+        assert serialize_graph(g) == reference_serialize_graph(g)
+
+    @settings(deadline=None)
+    @given(g=st.one_of(shuffled_graphs(), graphs()))
+    @example(g=random_instance(300, 0.5, "uniform", seed=5))  # np.sum differs in the last bit
+    def test_total_weight_is_the_left_to_right_sum(self, g):
+        total = 0
+        for _, _, w in g.edges:
+            total += w
+        assert g.total_weight.hex() == float(total).hex()
+
+    @settings(deadline=None)
+    @given(g=shuffled_graphs())
+    def test_parse_of_serialize_holds_the_arrays_in_pair_order(self, g):
+        back = parse_graph(serialize_graph(g))
+        i, j, w = g.edge_arrays()
+        order = np.lexsort((j, i))
+        got = back.edge_arrays()
+        assert back.n == g.n
+        assert np.array_equal(got[0], i[order]) and np.array_equal(got[1], j[order])
+        assert np.array_equal(float_bits(got[2]), float_bits(w[order]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_instance(30, 0.4, "uniform", seed=2),
+        lambda: parse_graph("4 2\n1 3 2\n2 4 -0.5\n"),
+        lambda: MaxCutInstance(4, ((np.int64(0), np.int64(3), np.float32(0.25)), (1, 2, 2))),
+    ], ids=["random", "parsed", "numpy-input"])
+    def test_edges_are_python_triples_and_read_only(self, make):
+        g = make()
+        assert type(g.edges) is tuple
+        assert all(type(e) is tuple and len(e) == 3 for e in g.edges)
+        assert all(type(i) is int and type(j) is int and type(w) is float
+                   for i, j, w in g.edges)
+        with pytest.raises(AttributeError):
+            g.edges = ()
+        with pytest.raises(AttributeError):
+            g.n = 5
+
+    def test_a_graph_retains_its_arrays_only(self):
+        # three 40074-entry arrays take 0.92 MiB; a tuple of Python triples
+        # of the same edges would add about 7 MiB
+        tracemalloc.start()
+        try:
+            g = random_instance(20000, 2e-4, "uniform", seed=1)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_arrays()[0].size == 40074
+        assert retained < 3 * 2**20
+
 
 class TestBruteForce:
     def test_two_spins(self):
