@@ -7,9 +7,9 @@ Run from anywhere, with no options::
 
 It imports ``oimsim`` from the ``src/`` of the checkout it sits in and, for
 each n in ``SIZES`` and each edge probability in ``DENSITIES``, times one
-call of every coupling kernel that ``oimsim.dynamics`` has (``_dense_coupling``
-of the dense J: two BLAS matrix-vector products; ``_sparse_coupling`` of
-the CSR arrays of J: one complex gather over the nonzeros and one complex
+call of the kernel of each coupling operator in ``oimsim.ising``
+(``_Dense(J).coupling()``: two BLAS matrix-vector products; ``coupling()`` of
+the ``_CSR`` arrays of J: one complex gather over the nonzeros and one complex
 segment sum per row), and one call of the full ``make_rhs`` closure of
 ``IsingInstance(n, couplings=J)``, which runs the coupling operator that the
 instance's size-and-fill rule picked (``path``).  Those couplings are drawn
@@ -46,8 +46,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from oimsim.dynamics import DynamicsConfig, _dense_coupling, _sparse_coupling, make_rhs  # noqa: E402
-from oimsim.ising import _CSR, IsingInstance, ising_from_maxcut, random_instance  # noqa: E402
+from oimsim.dynamics import DynamicsConfig, make_rhs  # noqa: E402
+from oimsim.ising import _CSR, IsingInstance, _Dense, ising_from_maxcut, random_instance  # noqa: E402
 
 SIZES = (10, 100, 200, 400, 500, 800, 2000)
 DENSITIES = (0.06, 0.1, 0.125, 0.25, 1.0)
@@ -101,8 +101,8 @@ def main() -> int:
         csr = inst._operator if inst.sparse else _CSR.from_dense(J)
         cell = {"n": n, "density": density, "nnz": int(np.count_nonzero(csr.vals))}
         kernel_before = timed_ms(reference_kernel, time.perf_counter)
-        kernels = {"dense": _dense_coupling(J) if J is not None else None,
-                   "sparse": _sparse_coupling(csr)}
+        kernels = {"dense": _Dense(J).coupling() if J is not None else None,
+                   "sparse": csr.coupling()}
         for name, couple in kernels.items():
             cell[f"{name}_us"] = per_call_us(lambda: couple(cos_t, sin_t)) if couple else None
         f = make_rhs(inst, DynamicsConfig())

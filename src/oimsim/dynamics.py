@@ -17,7 +17,8 @@ variant binarizes phases toward both 0 and pi, which is why it is the
 default for solving; the other two are kept for model comparisons and are
 never substituted silently.
 
-Phases are stored unwrapped; wrapping happens only in metrics.
+J enters only through the instance's coupling kernel (see ``ising``), and a
+field h not at all.  Phases are stored unwrapped; wrapping happens in metrics.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_real
-from .ising import _CSR, IsingInstance
+from .ising import IsingInstance
 
 
 class Mode(str, enum.Enum):
@@ -127,54 +128,21 @@ class DynamicsConfig:
         return self.natural_freqs
 
 
-def _dense_coupling(J: np.ndarray):
-    """(J cos theta, J sin theta) as two BLAS matrix-vector products."""
-    return lambda cos_t, sin_t: (J @ cos_t, J @ sin_t)
-
-
-def _sparse_coupling(csr: _CSR):
-    """(J cos theta, J sin theta) over the CSR arrays of J.
-
-    Both come from one gather of z = cos theta + i sin theta: the real and
-    imaginary parts of the row sums of J_ij z_j, one np.add.reduceat segment
-    per row.
-    """
-    cols, starts = csr.cols, csr.starts
-    # stored complex: numpy would cast each real weight v to v + 0i in
-    # every product below, with the same bits
-    weights = csr.vals.astype(complex)
-
-    def couple(cos_t: np.ndarray, sin_t: np.ndarray):
-        # fancy indexing into a fresh array: faster here than np.take into
-        # a reused buffer
-        terms = (cos_t + 1j * sin_t)[cols]
-        terms *= weights
-        sums = np.add.reduceat(terms, starts)
-        return sums.real, sums.imag
-
-    return couple
-
-
-def _coupling(inst: IsingInstance):
-    """The coupling kernel of the instance's operator: CSR arrays or dense J."""
-    return (_sparse_coupling if inst.sparse else _dense_coupling)(inst._operator)
-
-
 def make_rhs(inst: IsingInstance, cfg: DynamicsConfig):
     """Build a vectorized theta' = f(theta, t) for the configured mode.
 
     The coupling sum uses the identity
     sum_j J_ij sin(theta_i - theta_j) = sin(theta_i) (J cos theta)_i
                                       - cos(theta_i) (J sin theta)_i,
-    so every evaluation needs J cos theta and J sin theta.  They come from
-    the instance's coupling operator: on CSR arrays (``inst.sparse``), from
-    one complex gather of cos theta + i sin theta over the nonzeros of J and
-    one complex segment sum per row; on a dense J, from two matrix-vector
-    products.  The two paths agree to rounding, not bit for bit.  Each call
-    returns a fresh array and keeps no state between calls, so one closure
-    may be called from several threads at once.
+    so every evaluation needs J cos theta and J sin theta: the kernel of the
+    instance's coupling operator gives both (the CSR and dense kernels agree
+    to rounding, not bit for bit).  Each call returns a fresh array and keeps
+    no state between calls, so one closure may be called from several
+    threads at once.  An instance with a nonzero field h raises ValueError.
     """
-    couple = _coupling(inst)
+    if inst.has_field:
+        raise ValueError("the phase model has no field term; got a nonzero field h")
+    couple = inst._coupling()
     sigma = cfg.sigma
     kappa = cfg.kappa_s
     mode = cfg.mode
@@ -224,10 +192,12 @@ def potential_energy(inst: IsingInstance, cfg: DynamicsConfig, state: PhaseState
                - (kappa_s/2) sum_i cos(2 theta_i - phase)
     with theta' = -dE/dtheta.  Defined for distributed/subharmonic dynamics
     with zero detuning, and for coupled_only where the injection part is
-    absent.
+    absent, on an instance with zero field.
     """
     if state.n != inst.n:
         raise ValueError(f"state length {state.n} != instance n {inst.n}")
+    if inst.has_field:
+        raise ValueError("the phase model has no field term; got a nonzero field h")
     if cfg.injection_detuning != 0.0:
         raise ValueError("potential requires zero injection detuning")
     if cfg.mode is Mode.COUPLED_ONLY:
@@ -242,7 +212,7 @@ def potential_energy(inst: IsingInstance, cfg: DynamicsConfig, state: PhaseState
     s = np.sin(theta)
     c = np.cos(theta)
     # sum_{i != j} J_ij cos(theta_i - theta_j) via the coupling of make_rhs
-    j_cos, j_sin = _coupling(inst)(c, s)
+    j_cos, j_sin = inst._coupling()(c, s)
     pair_sum = c @ j_cos + s @ j_sin
     e = -0.5 * cfg.sigma * pair_sum
     if kappa:

@@ -3,15 +3,15 @@
 All runs are seeded and every experiment is deterministic for a fixed
 specification, independent of the worker thread count: work items are pure
 functions of their inputs and results are emitted in canonical order.
-Each driver takes the max-cut graph, maps it to couplings once, and reports
-every cut as ``cut_value`` on the graph it was given.
+Each driver's runs go through ``_runs``, which maps the max-cut graph to
+couplings once; every cut is ``cut_value`` on the graph the driver was given.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -107,14 +107,6 @@ class SolveResult:
     best_seed: int
 
 
-def _map_items(fn: Callable, items: Sequence[tuple], threads: int) -> list:
-    """Apply fn to each argument tuple, optionally on a thread pool; order preserved."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(*args) for args in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *zip(*items)))
-
-
 @dataclass(frozen=True, eq=False)
 class _Run:
     """Everything the drivers read from one seeded run.  A diverged run
@@ -147,7 +139,6 @@ def _run_once(
     row by row, so each value is bit-equal to its entry in compute_traces
     of the same trajectory.
     """
-    check_lock_params(threshold, hold_samples, icfg.n_samples)
     dyn.freqs_for(inst.n)  # a natural_freqs length fault is raised before integrating
     try:
         traj = integrate(inst, dyn, replace(icfg, seed=seed), init)
@@ -168,6 +159,21 @@ def _run_once(
     )
 
 
+def _runs(graph: MaxCutInstance, icfg: IntegratorConfig, jobs: Sequence[tuple[DynamicsConfig, int]],
+          threshold: float, hold_samples: int, threads: int) -> list[_Run]:
+    """The run of each (dynamics, seed) job on the graph, in job order, with
+    icfg's seed replaced by the job's: checks and couplings once per call,
+    initial phases once per seed, on a thread pool when ``threads > 1``."""
+    check_lock_params(threshold, hold_samples, icfg.n_samples)
+    inst = ising_from_maxcut(graph)
+    inits = {seed: initial_phases(inst.n, seed) for seed in dict.fromkeys(s for _, s in jobs)}
+    items = [(inst, graph, dyn, icfg, inits[s], s, threshold, hold_samples) for dyn, s in jobs]
+    if threads <= 1 or len(items) <= 1:
+        return [_run_once(*args) for args in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(_run_once, *zip(*items)))
+
+
 def run_sweep(
     spec: SweepSpec,
     threshold: float = LOCK_THRESHOLD,
@@ -180,19 +186,16 @@ def run_sweep(
     diverged run yields a row with empty lock time and NaN observables
     rather than aborting the sweep.
     """
-    inst = ising_from_maxcut(spec.graph)
-    inits = {seed: initial_phases(inst.n, seed) for seed in spec.seeds}
     grid = [
         (value, seed, mode)
         for value in spec.values
         for seed in spec.seeds
         for mode in (Mode.CENTRALIZED, Mode.DISTRIBUTED)
     ]
-    runs = _map_items(_run_once, [
-        (inst, spec.graph, replace(spec.base_dynamics, mode=mode, **{spec.parameter: value}),
-         spec.base_integrator, inits[seed], seed, threshold, hold_samples)
+    runs = _runs(spec.graph, spec.base_integrator, [
+        (replace(spec.base_dynamics, mode=mode, **{spec.parameter: value}), seed)
         for value, seed, mode in grid
-    ], threads)
+    ], threshold, hold_samples, threads)
     rows = [
         SweepRow(value, seed, mode.value, r.lock_time, r.final_R, r.final_error, r.energy, r.cut)
         for (value, seed, mode), r in zip(grid, runs)
@@ -227,14 +230,9 @@ def compare_modes(
     seeds = [int(s) for s in seeds]
     if len(seeds) < 10:
         raise ValueError(f"need at least 10 seeds, got {len(seeds)}")
-    inst = ising_from_maxcut(graph)
     modes = (Mode.DISTRIBUTED, Mode.CENTRALIZED)
-    inits = [initial_phases(inst.n, seed) for seed in seeds]
-    runs = _map_items(_run_once, [
-        (inst, graph, replace(dyn, mode=mode), icfg, init, seed, threshold, hold_samples)
-        for seed, init in zip(seeds, inits)
-        for mode in modes
-    ], threads)
+    runs = _runs(graph, icfg, [(replace(dyn, mode=mode), seed) for seed in seeds for mode in modes],
+                 threshold, hold_samples, threads)
     # runs alternate distributed, centralized; both of a seed share its init
     by_mode = {mode.value: runs[k::len(modes)] for k, mode in enumerate(modes)}
     locks = {m: [r.lock_time for r in rs] for m, rs in by_mode.items()}
@@ -253,7 +251,7 @@ def compare_modes(
     ]
     wins = sum(1 for d, c in pairs if d < c)
     speedup = None
-    if med["distributed"] and med["centralized"]:
+    if med["distributed"] and med["centralized"] is not None:  # c / 0 has no value
         speedup = med["centralized"] / med["distributed"]
     return ComparisonSummary(
         median_lock_distributed=med["distributed"],
@@ -283,12 +281,8 @@ def solve(
     last DivergenceError if every attempt diverges.
     """
     check_int("solve.attempts", attempts, minimum=1)
-    inst = ising_from_maxcut(g)
     seeds = [icfg.seed + k for k in range(attempts)]
-    runs = _map_items(_run_once, [
-        (inst, g, dyn, icfg, initial_phases(inst.n, seed), seed, threshold, hold_samples)
-        for seed in seeds
-    ], threads)
+    runs = _runs(g, icfg, [(dyn, seed) for seed in seeds], threshold, hold_samples, threads)
     completed = [(seed, r) for seed, r in zip(seeds, runs) if r.error is None]
     if not completed:
         raise runs[-1].error

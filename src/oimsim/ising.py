@@ -1,4 +1,4 @@
-"""Ising / max-cut problem instances, energies, and an exact small-n oracle.
+"""Ising / max-cut instances, their coupling operators, energies, and an exact small-n oracle.
 
 Conventions used throughout the package:
 
@@ -48,13 +48,33 @@ def _prefers_csr(n: int, nnz: int) -> bool:
     return n >= _SPARSE_MIN_N and nnz * _SPARSE_FILL_DIVISOR <= n * n
 
 
+class _Dense:
+    """The coupling operator of a dense J, made read-only, with the methods of
+    ``_CSR``: ``coupling()``, ``products(x)`` (``x @ J``) and ``dense()``."""
+
+    def __init__(self, J: np.ndarray):
+        J.setflags(write=False)
+        self.J = J
+
+    def coupling(self):
+        """(J cos theta, J sin theta) as two BLAS matrix-vector products."""
+        J = self.J
+        return lambda cos_t, sin_t: (J @ cos_t, J @ sin_t)
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.J
+
+    def dense(self) -> np.ndarray:
+        return self.J
+
+
 @dataclass(frozen=True, eq=False)
 class _CSR:
-    """The nonzero couplings of a symmetric J, row by row with columns
-    ascending in each row: the order of ``np.nonzero(J)``.  A row without
-    nonzeros gets one zero-weight diagonal entry, so that each row i owns the
-    non-empty segment ``starts[i]:starts[i + 1]`` and ``np.add.reduceat``
-    over ``starts`` sees one segment per row."""
+    """The coupling operator of the nonzero couplings of a symmetric J, row by
+    row with columns ascending in each row: the order of ``np.nonzero(J)``.
+    A row without nonzeros gets one zero-weight diagonal entry, so that each
+    row i owns the non-empty segment ``starts[i]:starts[i + 1]`` and
+    ``np.add.reduceat`` over ``starts`` sees one segment per row."""
 
     n: int
     starts: np.ndarray
@@ -95,9 +115,32 @@ class _CSR:
         """Row index of every stored entry."""
         return np.repeat(np.arange(self.n), np.diff(self.starts, append=self.cols.size))
 
+    def coupling(self):
+        """(J cos theta, J sin theta) over the CSR arrays of J.
+
+        Both come from one gather of z = cos theta + i sin theta: the real and
+        imaginary parts of the row sums of J_ij z_j, one np.add.reduceat segment
+        per row.
+        """
+        cols, starts = self.cols, self.starts
+        # stored complex: numpy would cast each real weight v to v + 0i in
+        # every product below, with the same bits
+        weights = self.vals.astype(complex)
+
+        def couple(cos_t: np.ndarray, sin_t: np.ndarray):
+            # fancy indexing into a fresh array: faster here than np.take into
+            # a reused buffer
+            terms = (cos_t + 1j * sin_t)[cols]
+            terms *= weights
+            sums = np.add.reduceat(terms, starts)
+            return sums.real, sums.imag
+
+        return couple
+
     def dense(self) -> np.ndarray:
         J = np.zeros((self.n, self.n))
         J[self.rows(), self.cols] = self.vals
+        J.setflags(write=False)
         return J
 
     def products(self, x: np.ndarray) -> np.ndarray:
@@ -114,12 +157,13 @@ class _CSR:
 class IsingInstance:
     """Symmetric pairwise couplings plus optional external field.
 
-    ``IsingInstance(n, couplings, field=None)`` takes a dense (n, n) J and
-    checks it: finite, symmetric, zero diagonal.  The instance then holds one
-    coupling operator, picked once by the size-and-fill rule: CSR arrays of
-    J's nonzeros for a large sparse J (``sparse`` is True), the dense J
-    otherwise.  ``ising_from_maxcut`` builds the CSR arrays of a sparse graph
-    from its edge list, with no n x n array.  ``couplings`` is the dense J,
+    ``IsingInstance(n, couplings, field=None)`` takes an integer ``n`` and a
+    dense (n, n) J and checks them: n >= 1, J finite, symmetric, zero
+    diagonal.  The instance then holds one coupling operator, picked once by
+    the size-and-fill rule: ``_CSR`` arrays of J's nonzeros for a large
+    sparse J (``sparse`` is True), ``_Dense`` on J otherwise.
+    ``ising_from_maxcut`` builds the operator of a graph from its edge list,
+    with no n x n array on the CSR side.  ``couplings`` is the dense J,
     read-only; on a CSR instance it is built anew on each access.
     """
 
@@ -127,8 +171,10 @@ class IsingInstance:
     field: np.ndarray
 
     def __init__(self, n: int, couplings, field: np.ndarray | None = None):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"spin count n must be an integer, got {n!r}")
         if n < 1:
-            raise ValueError(f"spin count must be >= 1, got {n}")
+            raise ValueError(f"spin count n must be >= 1, got {n}")
         J = np.array(couplings, dtype=float)
         if J.shape != (n, n):
             raise ValueError(f"couplings must be {n}x{n}, got {J.shape}")
@@ -138,23 +184,22 @@ class IsingInstance:
             raise ValueError("couplings must be symmetric")
         if np.any(np.diag(J) != 0.0):
             raise ValueError("couplings must have zero diagonal")
-        self._set(n, _CSR.from_dense(J) if _prefers_csr(n, np.count_nonzero(J)) else J, field)
+        operator = _CSR.from_dense(J) if _prefers_csr(n, np.count_nonzero(J)) else _Dense(J)
+        self._set(int(n), operator, field)
 
     @classmethod
-    def _of_csr(cls, csr: _CSR) -> "IsingInstance":
-        """A zero-field instance on CSR arrays built by this module."""
+    def _of(cls, n: int, operator: _Dense | _CSR) -> "IsingInstance":
+        """A zero-field instance on an operator built by this module."""
         inst = object.__new__(cls)
-        inst._set(csr.n, csr, None)
+        inst._set(n, operator, None)
         return inst
 
-    def _set(self, n: int, operator: np.ndarray | _CSR, field: np.ndarray | None) -> None:
+    def _set(self, n: int, operator: _Dense | _CSR, field: np.ndarray | None) -> None:
         h = np.zeros(n) if field is None else np.array(field, dtype=float)
         if h.shape != (n,):
             raise ValueError(f"field must have length {n}, got {h.shape}")
         if not np.all(np.isfinite(h)):
             raise ValueError("field must be finite")
-        if isinstance(operator, np.ndarray):
-            operator.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", h)
@@ -168,15 +213,15 @@ class IsingInstance:
     @property
     def couplings(self) -> np.ndarray:
         """The dense (n, n) J, read-only."""
-        if not self.sparse:
-            return self._operator
-        J = self._operator.dense()
-        J.setflags(write=False)
-        return J
+        return self._operator.dense()
 
     @property
     def has_field(self) -> bool:
         return bool(np.any(self.field != 0.0))
+
+    def _coupling(self):
+        """The (J cos theta, J sin theta) kernel of the coupling operator."""
+        return self._operator.coupling()
 
 
 class _EdgeRuleError(ValueError):
@@ -307,15 +352,12 @@ def energies(inst: IsingInstance, spins: np.ndarray) -> np.ndarray:
     different order than the dense matrix product, so real-valued weights
     may give energies that differ in the last bits; integer weights give
     the same energies."""
-    if inst.sparse:
-        products = inst._operator.products(spins)
-        return -0.5 * np.einsum("ki,ki->k", products, spins) - spins @ inst.field
-    return _quadratic_energies(inst.couplings, inst.field, spins)
+    return _quadratic_energies(inst._operator.products(spins), inst.field, spins)
 
 
-def _quadratic_energies(J: np.ndarray, h: np.ndarray, spins: np.ndarray) -> np.ndarray:
-    """``-spins.J.spins/2 - spins.h`` of each row of ``spins``."""
-    return -0.5 * np.einsum("ki,ki->k", spins @ J, spins) - spins @ h
+def _quadratic_energies(products: np.ndarray, h: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """``-spins.J.spins/2 - spins.h`` of each row, given ``products = spins @ J``."""
+    return -0.5 * np.einsum("ki,ki->k", products, spins) - spins @ h
 
 
 def cut_value(g: MaxCutInstance, s: SpinAssignment) -> float:
@@ -337,10 +379,10 @@ def ising_from_maxcut(g: MaxCutInstance) -> IsingInstance:
     """
     i, j, w = g.edge_arrays()
     if _prefers_csr(g.n, 2 * np.count_nonzero(w)):
-        return IsingInstance._of_csr(_CSR.from_edges(g.n, i, j, w))
+        return IsingInstance._of(g.n, _CSR.from_edges(g.n, i, j, w))
     J = np.zeros((g.n, g.n))
     J[i, j] = J[j, i] = -w
-    return IsingInstance(n=g.n, couplings=J)
+    return IsingInstance._of(g.n, _Dense(J))
 
 
 def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float, int]:
@@ -389,7 +431,7 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
     def chunk_energies(c: int) -> np.ndarray:
         s_C = np.concatenate([np.ones(first), _bit_spins(np.array([c]), n_bits - low)[0]])
         e = np.subtract(e_V, _signed_sums(J_VC @ s_C, out=buf), out=buf)
-        e += _quadratic_energies(J_CC, h_C, s_C[None])[0]
+        e += _quadratic_energies(s_C[None] @ J_CC, h_C, s_C[None])[0]
         return e
 
     chunk_min = np.array([chunk_energies(c).min() for c in range(1 << (n_bits - low))])

@@ -16,6 +16,8 @@ from oimsim import (
     IsingInstance,
     Mode,
     PhaseState,
+    SpinAssignment,
+    hamiltonian_energy,
     potential_energy,
     rhs,
 )
@@ -432,6 +434,33 @@ class TestPotential:
         cfg = DynamicsConfig(mode=Mode.DISTRIBUTED, injection_detuning=0.5)
         with pytest.raises(ValueError):
             potential_energy(pair(), cfg, PhaseState([0.0, 1.0]))
+
+
+class TestField:
+    """The phase model has no field term: the field h enters the energies and
+    the oracle, so the dynamics refuse an instance that carries one rather
+    than integrate a different problem from the one that is scored."""
+
+    def test_field_instance_is_refused(self):
+        J = [[0.0, 1.0], [1.0, 0.0]]
+        inst = IsingInstance(n=2, couplings=J, field=[5.0, -3.0])
+        assert hamiltonian_energy(inst, SpinAssignment([1.0, 1.0])) == -3.0
+        state = PhaseState([0.0, 1.0])
+        for mode in (Mode.DISTRIBUTED, Mode.COUPLED_ONLY):
+            cfg = DynamicsConfig(mode=mode)
+            with pytest.raises(ValueError, match="field"):
+                make_rhs(inst, cfg)
+            with pytest.raises(ValueError, match="field"):
+                rhs(inst, cfg, state)
+            with pytest.raises(ValueError, match="field"):
+                potential_energy(inst, cfg, state)
+
+    def test_zero_field_is_accepted(self):
+        J = [[0.0, 1.0], [1.0, 0.0]]
+        zero = IsingInstance(n=2, couplings=J, field=[0.0, -0.0])
+        cfg, state = DynamicsConfig(), PhaseState([0.0, 1.0])
+        assert np.array_equal(rhs(zero, cfg, state), rhs(pair(), cfg, state))
+        assert potential_energy(zero, cfg, state) == potential_energy(pair(), cfg, state)
 
 
 class TestConfigValidation:

@@ -2,6 +2,7 @@
 import importlib
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from oimsim import (
     solve,
     sweep_to_csv,
 )
-from oimsim.experiments import _run_once
+from oimsim.experiments import _Run, _run_once
 
 
 def short_integrator(t_end=10.0):
@@ -181,6 +182,28 @@ class TestCompareModes:
         assert summary.median_lock_distributed is not None
         assert summary.speedup is not None and summary.speedup > 1.0
 
+    @pytest.mark.parametrize("distributed, centralized, speedup", [
+        (1.0, 0.0, 0.0),     # a centralized median of 0 is a speedup of 0
+        (0.5, 1.0, 2.0),
+        (0.0, 1.0, None),    # c / 0 has no value
+        (1.0, None, None),   # centralized never locks
+        (None, 1.0, None),
+    ])
+    def test_speedup_is_null_only_without_a_ratio(self, monkeypatch, distributed,
+                                                  centralized, speedup):
+        experiments = importlib.import_module("oimsim.experiments")
+        locks = {Mode.DISTRIBUTED: distributed, Mode.CENTRALIZED: centralized}
+
+        def runs(graph, icfg, jobs, threshold, hold_samples, threads):
+            return [_Run(lock_time=locks[dyn.mode], locked=locks[dyn.mode] is not None,
+                         final_error=0.1) for dyn, _ in jobs]
+        monkeypatch.setattr(experiments, "_runs", runs)
+        summary = compare_modes(reference_graph(), DynamicsConfig(), short_integrator(),
+                                seeds=range(10))
+        assert summary.median_lock_distributed == distributed
+        assert summary.median_lock_centralized == centralized
+        assert summary.speedup == speedup
+
 
 class TestSolve:
     def test_single_edge(self):
@@ -246,6 +269,25 @@ class TestSolve:
             ratios.append(1.0 if hit else result.cut / optimum)
         assert hits >= 15
         assert np.mean(ratios) >= 0.91
+
+
+class TestRunsOwner:
+    """Every driver executes its runs through one _runs call, which checks the
+    lock parameters once per driver call, not once per run."""
+
+    @pytest.mark.parametrize("driver", ["run_sweep", "compare_modes", "solve"])
+    def test_lock_params_are_checked_once_per_call(self, driver):
+        experiments = importlib.import_module("oimsim.experiments")
+        g, dyn, icfg = reference_graph(), DynamicsConfig(), short_integrator(6.0)
+        calls = {
+            "run_sweep": lambda: run_sweep(SweepSpec("sigma", (0.5, 1.0), (0, 1), dyn, icfg, g)),
+            "compare_modes": lambda: compare_modes(g, dyn, icfg, seeds=range(10)),
+            "solve": lambda: solve(g, 3, dyn, icfg),
+        }
+        with mock.patch.object(experiments, "check_lock_params",
+                               wraps=experiments.check_lock_params) as check:
+            calls[driver]()
+        assert check.call_count == 1
 
 
 class TestRunObservables:

@@ -421,6 +421,15 @@ class TestCouplingOperator:
         assert ising_from_maxcut(g).sparse == expected
         assert IsingInstance(n=n, couplings=dense_couplings(g)).sparse == expected
 
+    @pytest.mark.parametrize("n, density, sparse", [(10, 1.0, False), (600, 0.06, True)])
+    def test_ising_from_maxcut_decides_the_layout_once(self, n, density, sparse):
+        g = random_instance(n, density, "pm1", seed=3)
+        with mock.patch.object(ising, "_prefers_csr", wraps=ising._prefers_csr) as rule:
+            inst = ising_from_maxcut(g)
+        assert rule.call_count == 1
+        assert inst.sparse == sparse
+        assert np.array_equal(inst.couplings, dense_couplings(g))
+
     @settings(deadline=None, max_examples=20)
     @given(g=sparse_graphs(), seed=st.integers(0, 2**16))
     @example(g=BENCHMARK_GRAPH, seed=0)
@@ -925,6 +934,15 @@ class TestRandomInstance:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("n, message", [
+        (True, "spin count n must be an integer, got True"),
+        (2.0, "spin count n must be an integer, got 2.0"),
+        (0, "spin count n must be >= 1, got 0"),
+    ])
+    def test_spin_count_must_be_a_positive_integer(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            IsingInstance(n=n, couplings=[[0.0]])
+
     def test_asymmetric_couplings_rejected(self):
         with pytest.raises(ValueError):
             IsingInstance(n=2, couplings=[[0.0, 1.0], [2.0, 0.0]])
