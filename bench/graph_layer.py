@@ -27,7 +27,9 @@ and right after every row, and the mean of the two is recorded beside it as
 ``kernel_ms``.  The table goes to standard output, and
 ``BENCH_graph_<commit>.json`` at the root of the checkout records it with
 the commit (``git describe --always --dirty``), the CPU count, and the
-numpy and Python versions.
+numpy and Python versions.  ``parse_reproduces`` records whether the parse
+holds the generated graph's vertex count and arrays, in (i, j) order, bit
+for bit; the exit status is 1 when it does not on any row, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -45,6 +47,8 @@ import tracemalloc
 from harness import ROOT, host_record, reference_kernel, timed_ms  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
 
 from oimsim.ising import parse_graph, random_instance, serialize_graph  # noqa: E402
 
@@ -84,6 +88,18 @@ def traced_mib(call) -> tuple[float, float]:
     return peak / 2**20, retained / 2**20
 
 
+def reproduces(parsed, g) -> bool:
+    """Whether ``parsed`` holds g's vertex count and arrays, in (i, j) order,
+    with the same dtypes and bits."""
+    i, j, w = g.edge_arrays()
+    order = np.lexsort((j, i))
+    want = (i[order], j[order], w[order].view(np.uint64))
+    got = parsed.edge_arrays()
+    got = (got[0], got[1], got[2].view(np.uint64))
+    return parsed.n == g.n and all(a.dtype == b.dtype and np.array_equal(a, b)
+                                   for a, b in zip(got, want))
+
+
 def main() -> int:
     reference_kernel()
     rows = []
@@ -106,10 +122,10 @@ def main() -> int:
             timings[stage] = (cpu_s, count)
         kernel_after = timed_ms(reference_kernel, time.process_time)
         g = out["random_instance"]
-        assert out["parse_graph"].edges == tuple(sorted(g.edges))
         edges = g.edge_arrays()[0].size
         row = {"n": n, "density": density, "edges": edges,
-               "kernel_ms": (kernel_before + kernel_after) / 2}
+               "kernel_ms": (kernel_before + kernel_after) / 2,
+               "parse_reproduces": reproduces(out["parse_graph"], g)}
         for stage, (cpu_s, count) in timings.items():
             peak_mib, retained_mib = traced_mib(calls[stage])
             row[stage] = {"calls": count, "cpu_ms": 1e3 * cpu_s,
@@ -126,6 +142,10 @@ def main() -> int:
     path = ROOT / f"BENCH_graph_{doc['commit']}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path.name}")
+    wrong = [(row["n"], row["density"]) for row in rows if not row["parse_reproduces"]]
+    if wrong:
+        print(f"parse_graph does not reproduce the graph on rows {wrong}", file=sys.stderr)
+        return 1
     return 0
 
 

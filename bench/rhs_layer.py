@@ -5,20 +5,34 @@ Run from anywhere, with no options::
 
     python3 bench/rhs_layer.py
 
-It imports ``oimsim`` from the ``src/`` of the checkout it sits in and, for
-each n in ``SIZES`` and each edge probability in ``DENSITIES``, times one
-call of the kernel of each coupling operator in ``oimsim.ising``
-(``_Dense(J).coupling()``: two BLAS matrix-vector products; ``coupling()`` of
-the ``_CSR`` arrays of J: one complex gather over the nonzeros and one complex
-segment sum per row), and one call of the full ``make_rhs`` closure of
-``IsingInstance(n, couplings=J)``, which runs the coupling operator that the
-instance's size-and-fill rule picked (``path``).  Those couplings are drawn
-as a dense (n, n) array.  For each n in ``TORUS_SIZES`` it draws instead a
-+-1 graph with the edge count of a 2-D torus (2n edges, edge probability
-4 / (n - 1)) with ``random_instance`` and times the CSR kernel and the
-closure of ``ising_from_maxcut`` of it: no n x n array is built, and the
-dense kernel is not timed.  BLAS runs on one thread, as the command line's
-``--threads 1`` and the benchmark in ``perfbench/`` run it.
+It imports ``oimsim`` from the ``src/`` of the checkout it sits in and times,
+row by row, one call of each coupling kernel in ``oimsim.ising`` and one
+call of the full ``make_rhs`` closure, which runs the kernel that the
+instance picked (``path``: ``dense``, or the CSR ``weight`` or ``level``
+kernel).  The kernels:
+
+- ``dense``: ``_Dense(J).coupling()``, two BLAS matrix-vector products;
+- ``weight``: the CSR weight kernel, one complex gather of cos + i sin theta
+  over the nonzeros, one multiply by the weights and one complex segment sum
+  per row;
+- ``level``: the CSR level kernel, for arrays whose weights take L values
+  with L * n <= nnz: the (L, n) table of level-times-column products, one
+  gather from it and the same segment sum.  Both CSR kernels run on the same
+  arrays, and their results are compared bit for bit (``bit_equal``).
+
+The rows:
+
+- for each n in ``SIZES`` and each edge probability in ``DENSITIES``, +-1
+  couplings drawn as a dense (n, n) J, and ``IsingInstance(n, couplings=J)``;
+- for each (n, density, weight set) in ``GRAPH_ROWS``, ``random_instance``
+  of it and ``ising_from_maxcut`` of that graph, as the command line builds
+  them: no n x n array is built, and the dense kernel is not timed;
+- for each n in ``TORUS_SIZES``, the same for a +-1 graph with the edge
+  count of a 2-D torus (2n edges, edge probability 4 / (n - 1)).
+
+BLAS runs on one thread, as the command line's ``--threads 1`` and the
+benchmark in ``perfbench/`` run it.  A checkout whose ``_CSR`` keeps no
+weight levels times the weight kernel only.
 
 Each time is the median over ``BLOCKS`` blocks of repeated calls, in
 microseconds per call.  The reference kernel of ``harness.py`` is timed on
@@ -26,7 +40,8 @@ the same clock right before and right after every row, and the mean of the
 two is recorded beside it as ``kernel_ms``.  The table goes to standard
 output, and ``BENCH_rhs_<commit>.json`` at the root of the checkout records
 it with the commit (``git describe --always --dirty``), the CPU count, and
-the numpy and Python versions.
+the numpy and Python versions.  The exit status is 1 when the two CSR
+kernels differ in any bit on any row, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -35,6 +50,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import dataclasses
 import json
 import statistics
 import sys
@@ -51,6 +67,7 @@ from oimsim.ising import _CSR, IsingInstance, _Dense, ising_from_maxcut, random_
 
 SIZES = (10, 100, 200, 400, 500, 800, 2000)
 DENSITIES = (0.06, 0.1, 0.125, 0.25, 1.0)
+GRAPH_ROWS = tuple((n, 0.06, weights) for weights in ("pm1", "uniform") for n in (500, 800, 2000))
 TORUS_SIZES = (5000, 20000)
 BLOCKS = 7
 BLOCK_S = 0.02
@@ -64,14 +81,24 @@ def couplings(n: int, density: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def instances(rng: np.random.Generator):
-    """(n, density, instance, dense J or None) of every row, in table order."""
+    """(n, density, weight set, instance, dense J or None) of every row, in table order."""
     for n in SIZES:
         for density in DENSITIES:
             J = couplings(n, density, rng)
-            yield n, density, IsingInstance(n=n, couplings=J), J
-    for n in TORUS_SIZES:
-        density = 4.0 / (n - 1)
-        yield n, density, ising_from_maxcut(random_instance(n, density, "pm1", seed=SEED)), None
+            yield n, density, "pm1", IsingInstance(n=n, couplings=J), J
+    rows = GRAPH_ROWS + tuple((n, 4.0 / (n - 1), "pm1") for n in TORUS_SIZES)
+    for n, density, weights in rows:
+        g = random_instance(n, density, weights, seed=SEED)
+        yield n, density, weights, ising_from_maxcut(g), None
+
+
+def csr_kernels(csr: _CSR) -> dict:
+    """The weight kernel of the CSR arrays, and their level kernel when the
+    operator keeps weight levels (None otherwise)."""
+    if getattr(csr, "levels", None) is None:
+        return {"weight": csr.coupling(), "level": None}
+    return {"weight": dataclasses.replace(csr, levels=None, table_at=None).coupling(),
+            "level": csr.coupling()}
 
 
 def per_call_us(call) -> float:
@@ -89,36 +116,51 @@ def per_call_us(call) -> float:
     return 1e6 * statistics.median(blocks)
 
 
+def bit_equal(a: tuple, b: tuple) -> bool:
+    return all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(a, b))
+
+
 def main() -> int:
     rng = np.random.default_rng(SEED)
     cells = []
     reference_kernel()
-    print(f"{'n':>5} {'density':>8} {'nnz':>8} {'dense_us':>10} {'sparse_us':>10} "
-          f"{'rhs_us':>10} {'kernel_ms':>10}  path")
-    for n, density, inst, J in instances(rng):
+    columns = ("dense_us", "weight_us", "level_us", "rhs_us", "kernel_ms")
+    print(f"{'n':>5} {'density':>8} {'weights':>8} {'nnz':>8} "
+          + " ".join(f"{k:>10}" for k in columns) + f"  {'path':<6}  bit_equal")
+    for n, density, weights, inst, J in instances(rng):
         theta = rng.uniform(0.0, 2.0 * np.pi, n)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         csr = inst._operator if inst.sparse else _CSR.from_dense(J)
-        cell = {"n": n, "density": density, "nnz": int(np.count_nonzero(csr.vals))}
+        cell = {"n": n, "density": density, "weights": weights,
+                "nnz": int(np.count_nonzero(csr.vals))}
         kernel_before = timed_ms(reference_kernel, time.perf_counter)
         kernels = {"dense": _Dense(J).coupling() if J is not None else None,
-                   "sparse": csr.coupling()}
+                   **csr_kernels(csr)}
         for name, couple in kernels.items():
             cell[f"{name}_us"] = per_call_us(lambda: couple(cos_t, sin_t)) if couple else None
         f = make_rhs(inst, DynamicsConfig())
         cell["rhs_us"] = per_call_us(lambda: f(theta, 0.0))
-        cell["path"] = "sparse" if inst.sparse else "dense"
+        cell["path"] = ("dense" if not inst.sparse
+                        else "weight" if getattr(inst._operator, "levels", None) is None
+                        else "level")
+        cell["bit_equal"] = (None if kernels["level"] is None else
+                             bit_equal(kernels["weight"](cos_t, sin_t),
+                                       kernels["level"](cos_t, sin_t)))
         kernel_after = timed_ms(reference_kernel, time.perf_counter)
         cell["kernel_ms"] = (kernel_before + kernel_after) / 2
         cells.append(cell)
-        print(f"{n:>5} {density:>8.3g} {cell['nnz']:>8} "
+        print(f"{n:>5} {density:>8.3g} {weights:>8} {cell['nnz']:>8} "
               + " ".join(f"{cell[k]:>10.1f}" if cell[k] is not None else f"{'-':>10}"
-                         for k in ("dense_us", "sparse_us", "rhs_us", "kernel_ms"))
-              + f"  {cell['path']}")
+                         for k in columns)
+              + f"  {cell['path']:<6}  {'-' if cell['bit_equal'] is None else cell['bit_equal']}")
     doc = {**host_record(), "blocks": BLOCKS, "seed": SEED, "cells": cells}
     path = ROOT / f"BENCH_rhs_{doc['commit']}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path.name}")
+    unequal = [(c["n"], c["density"], c["weights"]) for c in cells if c["bit_equal"] is False]
+    if unequal:
+        print(f"the CSR kernels differ in some bit on rows {unequal}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import numbers
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Literal, TextIO
 
@@ -26,18 +27,21 @@ _BLOCK_ELEMENTS = 1 << 16   # gathered terms per row block of a CSR product
 
 # An IsingInstance holds CSR arrays instead of the dense J when it has at
 # least _SPARSE_MIN_N spins and at most one nonzero coupling in
-# _SPARSE_FILL_DIVISOR.  Coupling-kernel times from bench/rhs_layer.py
-# (BENCH_rhs_0b4861c-dirty.json, one BLAS thread, x86_64, one noisy run):
-# the CSR kernel, one complex gather of cos + i sin theta over the nonzeros
-# and one complex segment sum per row, against two dense matrix-vector
-# products, in us per call:
-# - 6% fill: dense faster at n = 200 (18 against 21); about even at n = 400
-#   (53 against 49); CSR 1.8x faster at n = 500, 3.3x at 800, 4.2x at 2000.
-# - 1/8 fill: dense faster at n = 500 (113 against 125); CSR 1.9x faster at
-#   n = 800 and at 2000.
-# - 1/4 fill: dense faster at every size, 1.3x at n = 800, 1.8x at 2000.
-# The size crossover now lies near n = 400, below _SPARSE_MIN_N.  The
-# constants stay as they are: a graph that changed path would change bits.
+# _SPARSE_FILL_DIVISOR.  Coupling-kernel times from three bench/rhs_layer.py
+# runs (BENCH_rhs_29c8af7-dirty.json is the first; one BLAS thread, x86_64,
+# a noisy shared host), in us per call, of two dense matrix-vector products
+# against the CSR level kernel that +-1 couplings take:
+# - 6% fill: about even at n = 200 (11-18 against 13-23); CSR about 1.7x
+#   faster at n = 400, 3x at 500, 4.5x at 800 and 6.5x at 2000.
+# - 1/8 fill: about even at n = 400; CSR about 1.3x faster at n = 500, 3x
+#   at 800 and 2.4x at 2000.
+# - 1/4 fill: about even from n = 500 to 2000.
+# - Full fill: dense faster at every size, 3x at n = 800.
+# Continuous weights take the weight kernel, up to 1.7x slower than the
+# level kernel at 6% fill; for them the crossover stays near n = 400 at 6%
+# fill, as measured before.  For +-1 graphs it lies below _SPARSE_MIN_N in
+# size and near 1/4 in fill.  The constants stay as they are: a graph that
+# changed path would change bits.
 _SPARSE_FILL_DIVISOR = 8
 _SPARSE_MIN_N = 500
 
@@ -74,12 +78,19 @@ class _CSR:
     row with columns ascending in each row: the order of ``np.nonzero(J)``.
     A row without nonzeros gets one zero-weight diagonal entry, so that each
     row i owns the non-empty segment ``starts[i]:starts[i + 1]`` and
-    ``np.add.reduceat`` over ``starts`` sees one segment per row."""
+    ``np.add.reduceat`` over ``starts`` sees one segment per row.
+
+    When the stored weights take L distinct values with L * n <= nnz, as
+    +-1 and unweighted graphs do, ``levels`` holds those values and
+    ``table_at`` each entry's index into the flattened (L, n) table of
+    level-times-column products; both are None otherwise."""
 
     n: int
     starts: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    levels: np.ndarray | None
+    table_at: np.ndarray | None
 
     @classmethod
     def from_sorted(cls, n: int, rows: np.ndarray, cols: np.ndarray,
@@ -91,9 +102,17 @@ class _CSR:
         cols = np.insert(cols, at, lonely)
         vals = np.insert(vals, at, 0.0)
         starts = np.searchsorted(rows, np.arange(n))
-        for arr in (starts, cols, vals):
-            arr.setflags(write=False)
-        return cls(n, starts, cols, vals)
+        # vals holds no -0.0 (only nonzeros and the +0.0 above), so each
+        # levels[level_of[k]] has the bits of vals[k]
+        levels, level_of = np.unique(vals, return_inverse=True)
+        if levels.size * n <= vals.size:
+            table_at = level_of * n + cols
+        else:
+            levels = table_at = None
+        for arr in (starts, cols, vals, levels, table_at):
+            if arr is not None:
+                arr.setflags(write=False)
+        return cls(n, starts, cols, vals, levels, table_at)
 
     @classmethod
     def from_dense(cls, J: np.ndarray) -> "_CSR":
@@ -118,14 +137,29 @@ class _CSR:
     def coupling(self):
         """(J cos theta, J sin theta) over the CSR arrays of J.
 
-        Both come from one gather of z = cos theta + i sin theta: the real and
-        imaginary parts of the row sums of J_ij z_j, one np.add.reduceat segment
-        per row.
+        Both are the real and imaginary parts of the row sums of J_ij z_j,
+        z = cos theta + i sin theta, one np.add.reduceat segment per row.
+        The weight kernel gathers z over the entries and multiplies each by
+        its weight.  The level kernel, taken when ``levels`` is set, forms
+        the (L, n) table z_j * level once per call and gathers the entries'
+        products from it: L * n multiplies instead of nnz, and every term
+        the same product as the weight kernel's, so the two agree bit for
+        bit.  The choice rests on the operator's arrays alone.
         """
-        cols, starts = self.cols, self.starts
-        # stored complex: numpy would cast each real weight v to v + 0i in
-        # every product below, with the same bits
-        weights = self.vals.astype(complex)
+        starts = self.starts
+        # stored complex: numpy would cast each real weight or level v to
+        # v + 0i in every product below, with the same bits
+        if self.levels is not None:
+            levels, table_at = self.levels.astype(complex)[:, None], self.table_at
+
+            def couple_levels(cos_t: np.ndarray, sin_t: np.ndarray):
+                table = (cos_t + 1j * sin_t) * levels
+                sums = np.add.reduceat(table.ravel()[table_at], starts)
+                return sums.real, sums.imag
+
+            return couple_levels
+
+        cols, weights = self.cols, self.vals.astype(complex)
 
         def couple(cos_t: np.ndarray, sin_t: np.ndarray):
             # fancy indexing into a fresh array: faster here than np.take into
@@ -158,10 +192,11 @@ class IsingInstance:
     """Symmetric pairwise couplings plus optional external field.
 
     ``IsingInstance(n, couplings, field=None)`` takes an integer ``n`` and a
-    dense (n, n) J and checks them: n >= 1, J finite, symmetric, zero
-    diagonal.  The instance then holds one coupling operator, picked once by
-    the size-and-fill rule: ``_CSR`` arrays of J's nonzeros for a large
-    sparse J (``sparse`` is True), ``_Dense`` on J otherwise.
+    dense (n, n) J and checks them: n >= 1; integer or float entries in J and
+    h, not bool, string or complex; J finite, symmetric, zero diagonal.  The
+    instance then holds one coupling operator, picked once by the
+    size-and-fill rule: ``_CSR`` arrays of J's nonzeros for a large sparse J
+    (``sparse`` is True), ``_Dense`` on J otherwise.
     ``ising_from_maxcut`` builds the operator of a graph from its edge list,
     with no n x n array on the CSR side.  ``couplings`` is the dense J,
     read-only; on a CSR instance it is built anew on each access.
@@ -175,7 +210,7 @@ class IsingInstance:
             raise ValueError(f"spin count n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"spin count n must be >= 1, got {n}")
-        J = np.array(couplings, dtype=float)
+        J = _real_array("couplings", couplings)
         if J.shape != (n, n):
             raise ValueError(f"couplings must be {n}x{n}, got {J.shape}")
         if not np.all(np.isfinite(J)):
@@ -195,7 +230,7 @@ class IsingInstance:
         return inst
 
     def _set(self, n: int, operator: _Dense | _CSR, field: np.ndarray | None) -> None:
-        h = np.zeros(n) if field is None else np.array(field, dtype=float)
+        h = np.zeros(n) if field is None else _real_array("field", field)
         if h.shape != (n,):
             raise ValueError(f"field must have length {n}, got {h.shape}")
         if not np.all(np.isfinite(h)):
@@ -222,6 +257,20 @@ class IsingInstance:
     def _coupling(self):
         """The (J cos theta, J sin theta) kernel of the coupling operator."""
         return self._operator.coupling()
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a new float array; ValueError naming ``name`` when an entry
+    is not a real number (a bool, string or complex is not)."""
+    arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    if arr.dtype.kind == "O":
+        bad = next((v for v in arr.flat
+                    if isinstance(v, bool) or not isinstance(v, numbers.Real)), None)
+        if bad is not None:
+            raise ValueError(f"{name} entries must be real numbers, got {bad!r}")
+    elif arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} entries must be real numbers, got dtype {arr.dtype}")
+    return np.array(arr, dtype=float)
 
 
 class _EdgeRuleError(ValueError):
@@ -294,12 +343,23 @@ class MaxCutInstance:
             i, j = (np.array(col, dtype=np.int64) for col in (icol, jcol))
         except OverflowError:  # such indices can only break the range rule
             i, j = (np.array(col, dtype=object) for col in (icol, jcol))
-        w = np.array(wcol, dtype=float)
+        self._set(int(n), i, j, np.array(wcol, dtype=float))
+
+    @classmethod
+    def _of_arrays(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "MaxCutInstance":
+        """A graph of n >= 1 vertices on int64 endpoint and float64 weight
+        arrays, whose dtypes stand in for the type checks; the edge rules
+        are checked as by the constructor."""
+        g = object.__new__(cls)
+        g._set(n, i, j, w)
+        return g
+
+    def _set(self, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> None:
         _check_edges(n, i, j, w)
         arrays = (i.astype(np.int64, copy=False), j.astype(np.int64, copy=False), w)
         for arr in arrays:
             arr.setflags(write=False)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_arrays", arrays)
 
     @property
@@ -481,9 +541,67 @@ def parse_graph(source: str | TextIO | Iterable[str]) -> MaxCutInstance:
     are ignored.  Raises GraphParseError with the offending line number:
     syntax faults first, then the first edge that breaks a MaxCutInstance
     edge rule, with its vertices numbered from 1.
+
+    Text given as a string is read first by numpy's C reader (``_read_graph``);
+    whatever that read cannot take as a valid graph, and every other source,
+    goes to the line-by-line scan (``_scan_graph``), which alone raises, so
+    both give the same graph or the same error.
     """
     if isinstance(source, str):
+        graph = _read_graph(source)
+        if graph is not None:
+            return graph
         source = io.StringIO(source)
+    return _scan_graph(source)
+
+
+_EDGE_ROW = np.dtype([("i", "i8"), ("j", "i8"), ("w", "f8")])
+
+
+def _read_graph(text: str) -> MaxCutInstance | None:
+    """The graph of ``text`` read by ``np.loadtxt``, or None when the scan
+    must decide: a header it does not take, no edges, a comment line or a
+    field that is not an int64 or a float64 after the header, a row count
+    other than m, or an edge that breaks an edge rule.  The reader reads on
+    from the line after the header; a lone "\r", which it would take for a
+    line end, it refuses."""
+    body = io.StringIO(text)    # lines end at "\n" as in the scan
+    for line in body:           # the header: the first line neither blank nor a comment
+        header = line.strip()
+        if header and not header.startswith("#"):
+            break
+    else:
+        return None
+    parts = header.split()
+    if len(parts) != 2:
+        return None
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        return None
+    if n < 1 or m < 1:
+        return None
+    try:
+        # a warning ends the read too: "input contained no data" for a body
+        # without rows, and the DeprecationWarning of the numpy versions that
+        # still read "1.0" as an integer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(body, dtype=_EDGE_ROW, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if rows.size != m:
+        return None
+    # a vertex at int64's minimum wraps to its maximum, out of range either way
+    i, j, w = rows["i"] - 1, rows["j"] - 1, np.ascontiguousarray(rows["w"])
+    try:
+        return MaxCutInstance._of_arrays(n, i, j, w)
+    except _EdgeRuleError:
+        return None
+
+
+def _scan_graph(source: TextIO | Iterable[str]) -> MaxCutInstance:
+    """``parse_graph`` line by line in Python: the reference that raises."""
     edges, linenos = [], []
     n, m = 0, None
     for lineno, raw in enumerate(source, start=1):

@@ -1,6 +1,9 @@
 """Problem representation, energies, conversion, parsing, and the exact oracle."""
+import dataclasses
+import io
 import itertools
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -170,6 +173,22 @@ def sparse_graphs(draw):
 
 
 BENCHMARK_GRAPH = random_instance(800, 0.06, "pm1", seed=3)  # the solve_g800 graph of seed 3
+
+
+@st.composite
+def level_graphs(draw):
+    """Graphs on 500-900 vertices at 2-6% fill whose weights take few values:
+    +-1, all one, or three levels, with some vertices stripped of all their
+    edges (a zero-weight diagonal entry each, one more level)."""
+    n = draw(st.integers(500, 900))
+    g = random_instance(n, draw(st.floats(0.02, 0.06)), "pm1", seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = draw(st.sampled_from([(-1.0, 1.0), (1.0,), (-0.5, 1.0, 2.75)]))
+    isolated = rng.random(n) < draw(st.floats(0.0, 0.2))
+    i, j, _ = g.edge_arrays()
+    keep = ~(isolated[i] | isolated[j])
+    w = rng.choice(values, keep.sum())
+    return MaxCutInstance(n=n, edges=zip(i[keep].tolist(), j[keep].tolist(), w.tolist()))
 
 
 weights = st.floats(-2.0, 2.0, allow_nan=False)
@@ -478,6 +497,28 @@ class TestCouplingOperator:
             tracemalloc.stop()
         assert callable(f)
         assert peak < 4 * 2**20
+
+    @settings(deadline=None, max_examples=30)
+    @given(g=level_graphs(), seed=st.integers(0, 2**16))
+    @example(g=BENCHMARK_GRAPH, seed=0)
+    def test_level_kernel_is_bit_equal_to_the_weight_kernel(self, g, seed):
+        op = ising_from_maxcut(g)._operator
+        assert op.levels is not None
+        assert np.array_equal(op.levels[(op.table_at - op.cols) // g.n], op.vals)
+        weight = dataclasses.replace(op, levels=None, table_at=None)
+        theta = np.random.default_rng(seed).uniform(-10.0, 10.0, g.n)
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        for got, want in zip(op.coupling()(cos_t, sin_t), weight.coupling()(cos_t, sin_t)):
+            assert np.array_equal(float_bits(got), float_bits(want))
+
+    @pytest.mark.parametrize("weight_set, levels", [("pm1", True), ("uniform", False)])
+    def test_few_weight_levels_take_the_level_kernel(self, weight_set, levels):
+        op = ising_from_maxcut(random_instance(800, 0.06, weight_set, seed=3))._operator
+        assert (op.levels is not None) == levels
+        assert (op.table_at is not None) == levels
+        if levels:
+            assert op.levels.size * op.n <= op.vals.size
+            assert not op.levels.flags.writeable and not op.table_at.flags.writeable
 
 
 class TestEdgeRules:
@@ -853,6 +894,102 @@ class TestParseGraph:
             assert back.edges == g.edges
 
 
+@st.composite
+def edge_list_texts(draw):
+    """``serialize_graph`` text of a graph from ``shuffled_graphs``, restyled:
+    comment and blank lines, tabs and runs of spaces, CRLF line ends, and
+    ``+`` signs on vertices and non-negative weights.  Also returns whether
+    any comment line follows the header."""
+    lines = serialize_graph(draw(shuffled_graphs())).splitlines()
+    plus = draw(st.booleans())
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    out, body_comments = [], False
+    for k, line in enumerate(lines):
+        for _ in range(draw(st.integers(0, 1))):
+            extra = draw(st.sampled_from(["", "   ", "\t", "# a comment", "  # 1 2 3"]))
+            out.append(extra)
+            body_comments |= k > 0 and "#" in extra
+        fields = line.split()
+        if plus and k > 0:
+            fields = [f if f.startswith("-") else "+" + f for f in fields]
+        out.append(draw(st.sampled_from(["", " "])) + draw(gap).join(fields))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + draw(st.sampled_from(["", end])), body_comments
+
+
+def edge_bits(g: MaxCutInstance) -> list:
+    i, j, w = g.edge_arrays()
+    assert i.dtype == j.dtype == np.int64 and w.dtype == np.float64
+    return [i.tolist(), j.tolist(), float_bits(w).tolist()]
+
+
+REJECTED_TEXTS = [
+    ("3 1\n1 2 1 # x\n", 2, "expected edge line 'i j w'"),
+    ("3 1\n1.0 2 1\n", 2, "edge entries must be 'int int real'"),
+    ("3 1\n1 1.5 1\n", 2, "edge entries must be 'int int real'"),
+    ("3 1\n1 2 1 4\n", 2, "expected edge line 'i j w'"),
+    ("3 1\n1 2 1\n2 3 1\n", 3, "more than 1 edge lines"),
+    ("# c\n3 2\n1 2 1\n\n# trailing\n", 5, "header promised 2 edges, found 1"),
+    ("3 2\n\n1 2 1\n\n", 4, "header promised 2 edges, found 1"),
+    ("3 2\n", 1, "header promised 2 edges, found 0"),
+    ("3 0\n1 2 1\n", 2, "more than 0 edge lines"),
+    ("3 0\n\n# a comment\n1 2 1", 4, "more than 0 edge lines"),
+    ("3 2\n1 2 1\n1 2 1\n", 3, "duplicate edge (1, 2)"),
+    ("3 1\n2 2 1\n", 2, "self-loop at vertex 2"),
+    ("3 1\n1 4 1\n", 2, "edge (1, 4) out of range for n=3"),
+    ("3 1\n1 99999999999999999999 1\n", 2,
+     "edge (1, 99999999999999999999) out of range for n=3"),
+    ("3 1\n-9223372036854775808 2 1\n", 2,
+     "edge (-9223372036854775808, 2) out of range for n=3"),
+    ("3 1\n1 2 nan\n", 2, "edge (1, 2) has non-finite weight"),
+    ("3 2\n1 2 1\r2 3 1\n", 2, "expected edge line 'i j w'"),
+    ("", 1, "empty input, expected header 'n m'"),
+    ("\n# nothing\n  \n", 1, "empty input, expected header 'n m'"),
+]
+
+
+class TestGraphReader:
+    """``parse_graph`` of a string: numpy's C reader, with the line scan as
+    the fallback that alone raises."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=edge_list_texts())
+    def test_reader_and_scan_give_the_same_arrays(self, case):
+        text, body_comments = case
+        scanned = ising._scan_graph(io.StringIO(text))
+        read = ising._read_graph(text)
+        # only an edgeless graph or a comment line after the header needs the scan
+        assert (read is None) == (body_comments or not scanned.edge_arrays()[0].size)
+        for g in (read, parse_graph(text)):
+            if g is not None:
+                assert g.n == scanned.n
+                assert edge_bits(g) == edge_bits(scanned)
+
+    @pytest.mark.parametrize("text, line, message", REJECTED_TEXTS)
+    def test_rejected_text_keeps_its_message_and_line(self, text, line, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ising._read_graph(text) is None
+            with pytest.raises(GraphParseError) as err:
+                parse_graph(text)
+        assert str(err.value) == f"line {line}: {message}"
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text", ["3 0\n", "3 0\n\n# a comment\n", "# c\n3 0"])
+    def test_edgeless_graph_is_scanned_without_a_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ising._read_graph(text) is None
+            g = parse_graph(text)
+        assert g.n == 3 and g.edges == ()
+
+    def test_reader_parses_the_benchmark_graph(self):
+        text = serialize_graph(BENCHMARK_GRAPH)
+        read = ising._read_graph(text)
+        assert read is not None
+        assert edge_bits(read) == edge_bits(ising._scan_graph(io.StringIO(text)))
+
+
 class TestRandomInstance:
     def test_full_density_is_complete(self):
         g = random_instance(4, 1.0, "pm1", seed=7)
@@ -942,6 +1079,36 @@ class TestValidation:
     def test_spin_count_must_be_a_positive_integer(self, n, message):
         with pytest.raises(ValueError, match=message):
             IsingInstance(n=n, couplings=[[0.0]])
+
+    @pytest.mark.parametrize("couplings, field, message", [
+        ([[False, True], [True, False]], None, "couplings entries must be real numbers, got False"),
+        ([[0, 1], [1, 0]], [True, "0.5"], "field entries must be real numbers, got True"),
+        ([[0, 1], [1, 0]], [1.0, "0.5"], "field entries must be real numbers, got '0.5'"),
+        ([[0, "1"], ["1", 0]], None, "couplings entries must be real numbers, got '1'"),
+        ([[0, 1j], [1j, 0]], None, "couplings entries must be real numbers, got 1j"),
+        ([[0, 1], [1, 0]], [np.True_, 0.0],
+         "field entries must be real numbers, got np.True_"),
+        (np.array([[0, 1], [1, 0]], dtype=bool), None,
+         "couplings entries must be real numbers, got dtype bool"),
+        (np.zeros((2, 2), dtype=complex), None,
+         "couplings entries must be real numbers, got dtype complex128"),
+        ([[0, 1], [1, 0]], np.array(["1", "2"]),
+         "field entries must be real numbers, got dtype <U1"),
+    ])
+    def test_couplings_and_field_must_be_real(self, couplings, field, message):
+        with pytest.raises(ValueError) as err:
+            IsingInstance(n=2, couplings=couplings, field=field)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("couplings, field", [
+        ([[0, 1], [1, 0]], [1, -2]),
+        ([[0.0, np.int64(1)], [np.float32(1.0), 0.0]], [np.float64(0.5), np.uint8(2)]),
+        (np.array([[0, 1], [1, 0]], dtype=np.int32), np.array([0.5, 1.5], dtype=np.float32)),
+    ], ids=["python", "numpy-scalars", "numpy-arrays"])
+    def test_integer_and_float_entries_are_accepted(self, couplings, field):
+        inst = IsingInstance(n=2, couplings=couplings, field=field)
+        assert inst.couplings.dtype == inst.field.dtype == np.float64
+        assert inst.couplings.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_asymmetric_couplings_rejected(self):
         with pytest.raises(ValueError):
