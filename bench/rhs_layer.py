@@ -9,7 +9,8 @@ It imports ``oimsim`` from the ``src/`` of the checkout it sits in and times,
 row by row, one call of each coupling kernel in ``oimsim.ising`` and one
 call of the full ``make_rhs`` closure, which runs the kernel that the
 instance picked (``path``: ``dense``, or the CSR ``weight`` or ``level``
-kernel).  The kernels:
+kernel).  The kernels, each called on the complex vector cos + i sin theta
+that the RHS builds once per call:
 
 - ``dense``: ``_Dense(J).coupling()``, two BLAS matrix-vector products;
 - ``weight``: the CSR weight kernel, one complex gather of cos + i sin theta
@@ -129,7 +130,7 @@ def main() -> int:
           + " ".join(f"{k:>10}" for k in columns) + f"  {'path':<6}  bit_equal")
     for n, density, weights, inst, J in instances(rng):
         theta = rng.uniform(0.0, 2.0 * np.pi, n)
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        z = np.cos(theta) + 1j * np.sin(theta)
         csr = inst._operator if inst.sparse else _CSR.from_dense(J)
         cell = {"n": n, "density": density, "weights": weights,
                 "nnz": int(np.count_nonzero(csr.vals))}
@@ -137,15 +138,14 @@ def main() -> int:
         kernels = {"dense": _Dense(J).coupling() if J is not None else None,
                    **csr_kernels(csr)}
         for name, couple in kernels.items():
-            cell[f"{name}_us"] = per_call_us(lambda: couple(cos_t, sin_t)) if couple else None
+            cell[f"{name}_us"] = per_call_us(lambda: couple(z)) if couple else None
         f = make_rhs(inst, DynamicsConfig())
         cell["rhs_us"] = per_call_us(lambda: f(theta, 0.0))
         cell["path"] = ("dense" if not inst.sparse
                         else "weight" if getattr(inst._operator, "levels", None) is None
                         else "level")
         cell["bit_equal"] = (None if kernels["level"] is None else
-                             bit_equal(kernels["weight"](cos_t, sin_t),
-                                       kernels["level"](cos_t, sin_t)))
+                             bit_equal(kernels["weight"](z), kernels["level"](z)))
         kernel_after = timed_ms(reference_kernel, time.perf_counter)
         cell["kernel_ms"] = (kernel_before + kernel_after) / 2
         cells.append(cell)

@@ -118,6 +118,10 @@ def integrate(
     """Advance the phase state to t_end, recording every record_every steps
     and always the final state at t = n_steps * dt.
 
+    The state, the RK4 stages, the EM drift and noise are n-vectors
+    allocated once per run; each step calls the RHS with ``out=`` and
+    updates them in place, summing in the order of the textbook formulas.
+
     Raises DivergenceError with the step index if the state ever turns
     non-finite.
     """
@@ -128,29 +132,51 @@ def integrate(
     n_steps = icfg.n_steps
     stride = icfg.record_every
 
-    theta = init.phases
+    theta = np.array(init.phases)
     # one buffer, filled in place and handed to the Trajectory uncopied
     samples = np.empty((icfg.n_samples, inst.n))
     times = np.empty(icfg.n_samples)
     samples[0], times[0] = theta, 0.0
     k = 1
 
+    finite = np.empty(inst.n, dtype=bool)
     noisy = dyn.noise_amplitude > 0.0
     if noisy:
         rng = _noise_rng(icfg.seed)
         noise_scale = dyn.noise_amplitude * math.sqrt(dt)
+        drift, noise = np.empty(inst.n), np.empty(inst.n)
+    else:
+        k1, k2, k3, k4, stage = (np.empty(inst.n) for _ in range(5))
 
     for step in range(n_steps):
         t = step * dt
         if noisy:
-            theta = theta + f(theta, t) * dt + noise_scale * rng.standard_normal(theta.size)
+            # theta + f(theta, t) dt + noise_scale N(0, 1), summed in that order
+            f(theta, t, out=drift)
+            drift *= dt
+            rng.standard_normal(out=noise)
+            noise *= noise_scale
+            theta += drift
+            theta += noise
         else:
-            k1 = f(theta, t)
-            k2 = f(k1 * (0.5 * dt) + theta, t + 0.5 * dt)
-            k3 = f(k2 * (0.5 * dt) + theta, t + 0.5 * dt)
-            k4 = f(k3 * dt + theta, t + dt)
-            theta = theta + ((k2 + k3) * 2.0 + k1 + k4) * (dt / 6.0)
-        if not np.isfinite(theta).all():
+            f(theta, t, out=k1)
+            np.multiply(k1, 0.5 * dt, out=stage)
+            stage += theta
+            f(stage, t + 0.5 * dt, out=k2)
+            np.multiply(k2, 0.5 * dt, out=stage)
+            stage += theta
+            f(stage, t + 0.5 * dt, out=k3)
+            np.multiply(k3, dt, out=stage)
+            stage += theta
+            f(stage, t + dt, out=k4)
+            # theta + ((k2 + k3) 2 + k1 + k4) dt / 6
+            np.add(k2, k3, out=stage)
+            stage *= 2.0
+            stage += k1
+            stage += k4
+            stage *= dt / 6.0
+            theta += stage
+        if not np.isfinite(theta, out=finite).all():
             raise DivergenceError(step)
         if (step + 1) % stride == 0:
             samples[k], times[k] = theta, (step + 1) // stride * (stride * dt)

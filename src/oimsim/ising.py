@@ -61,9 +61,10 @@ class _Dense:
         self.J = J
 
     def coupling(self):
-        """(J cos theta, J sin theta) as two BLAS matrix-vector products."""
+        """(J cos theta, J sin theta) of z = cos theta + i sin theta, as two
+        BLAS matrix-vector products on z's parts, into two new arrays."""
         J = self.J
-        return lambda cos_t, sin_t: (J @ cos_t, J @ sin_t)
+        return lambda z: (J @ z.real, J @ z.imag)
 
     def products(self, x: np.ndarray) -> np.ndarray:
         return x @ self.J
@@ -135,10 +136,11 @@ class _CSR:
         return np.repeat(np.arange(self.n), np.diff(self.starts, append=self.cols.size))
 
     def coupling(self):
-        """(J cos theta, J sin theta) over the CSR arrays of J.
+        """(J cos theta, J sin theta) over the CSR arrays of J, from the
+        complex vector z = cos theta + i sin theta.
 
         Both are the real and imaginary parts of the row sums of J_ij z_j,
-        z = cos theta + i sin theta, one np.add.reduceat segment per row.
+        one np.add.reduceat segment per row, a new array on each call.
         The weight kernel gathers z over the entries and multiplies each by
         its weight.  The level kernel, taken when ``levels`` is set, forms
         the (L, n) table z_j * level once per call and gathers the entries'
@@ -152,19 +154,18 @@ class _CSR:
         if self.levels is not None:
             levels, table_at = self.levels.astype(complex)[:, None], self.table_at
 
-            def couple_levels(cos_t: np.ndarray, sin_t: np.ndarray):
-                table = (cos_t + 1j * sin_t) * levels
-                sums = np.add.reduceat(table.ravel()[table_at], starts)
+            def couple_levels(z: np.ndarray):
+                sums = np.add.reduceat((z * levels).ravel()[table_at], starts)
                 return sums.real, sums.imag
 
             return couple_levels
 
         cols, weights = self.cols, self.vals.astype(complex)
 
-        def couple(cos_t: np.ndarray, sin_t: np.ndarray):
+        def couple(z: np.ndarray):
             # fancy indexing into a fresh array: faster here than np.take into
             # a reused buffer
-            terms = (cos_t + 1j * sin_t)[cols]
+            terms = z[cols]
             terms *= weights
             sums = np.add.reduceat(terms, starts)
             return sums.real, sums.imag
@@ -255,7 +256,9 @@ class IsingInstance:
         return bool(np.any(self.field != 0.0))
 
     def _coupling(self):
-        """The (J cos theta, J sin theta) kernel of the coupling operator."""
+        """The kernel of the coupling operator: z = cos theta + i sin theta to
+        (J cos theta, J sin theta), two arrays that are the caller's to keep
+        or overwrite."""
         return self._operator.coupling()
 
 
@@ -662,10 +665,13 @@ def random_instance(
     ``geometric(density)`` variates in batches, whose running sums give the
     kept pairs' row-major indices (none with ``density == 1``, which keeps
     every pair); then all weights in one call.  It never visits the pairs it
-    skips, so time and memory are O(n + m) for m kept edges (Batagelj and
+    skips, and hands its int64 and float64 arrays to the graph as they are,
+    so time and memory are O(n + m) for m kept edges (Batagelj and
     Brandes, "Efficient generation of large random networks", Phys. Rev. E
     71, 036113, 2005).
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0.0 < density <= 1.0:
@@ -684,7 +690,7 @@ def random_instance(
         w = rng.choice([-1.0, 1.0], size=k.size)
     else:
         w = rng.uniform(-1.0, 1.0, size=k.size)
-    return MaxCutInstance(n=n, edges=zip(i.tolist(), j.tolist(), w.tolist()))
+    return MaxCutInstance._of_arrays(int(n), i, j, w)
 
 
 def _kept_pairs(rng: np.random.Generator, pairs: int, density: float) -> np.ndarray:

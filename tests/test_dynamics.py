@@ -1,6 +1,9 @@
 """Right-hand-side terms, mode composition, and the gradient-flow potential."""
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -296,13 +299,110 @@ class TestCouplingPaths:
                 if variant is InjectionVariant.DRIVE_ONLY:
                     expected -= 0.6 * math.sin(th_inj)
                 elif variant is InjectionVariant.ADLER:
-                    expected -= 0.6 * np.sin(theta - th_inj)
+                    # 0.6 sin(theta - th_inj), term by term
+                    expected -= s * (0.6 * math.cos(th_inj))
+                    expected += c * (0.6 * math.sin(th_inj))
                 else:
-                    expected -= 0.6 * np.sin(2.0 * theta - th_inj)
+                    # 0.6 sin(2 theta - th_inj), term by term
+                    expected -= (s * c) * (2.0 * 0.6 * math.cos(th_inj))
+                    expected += (c * c - s * s) * (0.6 * math.sin(th_inj))
             if mode is Mode.CENTRALIZED:
                 expected -= 0.6 * (s * c.sum() - c * s.sum())
                 expected -= 0.6 * math.sin(th_inj)
             assert np.array_equal(make_rhs(inst, cfg)(theta, t), expected), (mode, variant)
+
+
+def sine_of_difference(x: np.ndarray, phi: float) -> np.ndarray:
+    """sin(x - phi) for the exact difference.  np.sin(x - phi) rounds its
+    argument first, which at |x| <= 20 moves it by up to 1.8e-15; TwoSum
+    gives that rounding error e of a = x - phi exactly, and
+    sin(a) + e cos(a) puts it back to within 1e-30."""
+    a = x - phi
+    back = a - x
+    e = (x - (a - back)) + (-phi - back)
+    return np.sin(a) + e * np.cos(a)
+
+
+def empty_graph_rhs(n: int, variant: InjectionVariant, phase: float, detuning: float):
+    """make_rhs in distributed mode at kappa_s = 1 on n uncoupled
+    oscillators: it returns minus the injection term."""
+    cfg = DynamicsConfig(sigma=1.0, kappa_s=1.0, injection_variant=variant,
+                         injection_phase=phase, injection_detuning=detuning)
+    return make_rhs(IsingInstance(n=n, couplings=np.zeros((n, n))), cfg)
+
+
+def all_configs(draw, natural_freqs_n):
+    """One drawn config per mode and variant, natural frequencies in free mode."""
+    freqs = draw(arrays(float, natural_freqs_n, elements=st.floats(-1.0, 1.0)))
+    for mode, variant in itertools.product(Mode, InjectionVariant):
+        cfg = drawn_config(draw, mode, variant)
+        yield replace(cfg, natural_freqs=freqs) if mode is Mode.FREE else cfg
+
+
+class TestRhsContract:
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), system=symmetric_systems(max_n=40),
+           path=st.sampled_from(COUPLING_PATHS))
+    def test_out_is_returned_and_bit_equal_and_theta_is_untouched(self, data, system, path):
+        J, theta, t = system
+        inst = on_path(path, IsingInstance(n=theta.size, couplings=J))
+        kept = theta.copy()
+        for cfg in all_configs(data.draw, theta.size):
+            f = make_rhs(inst, cfg)
+            fresh = f(theta, t)
+            buf = np.full(theta.size, np.nan)
+            assert f(theta, t, out=buf) is buf
+            assert np.array_equal(buf.view(np.uint64), fresh.view(np.uint64)), cfg
+            assert np.array_equal(theta.view(np.uint64), kept.view(np.uint64))
+
+    @settings(deadline=None, max_examples=4)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    @pytest.mark.parametrize("path", COUPLING_PATHS)
+    def test_one_closure_called_from_four_threads_gives_the_same_bits(self, path, data, seed):
+        inst = on_path(path, ising_from_maxcut(random_instance(600, 0.06, "uniform", seed=seed)))
+        rng = np.random.default_rng(seed)
+        thetas = rng.uniform(-10.0, 10.0, (16, inst.n))
+        for cfg in all_configs(data.draw, inst.n):
+            f = make_rhs(inst, cfg)
+            serial = [f(theta, 2.5) for theta in thetas]
+            barrier = threading.Barrier(4, timeout=60)
+
+            def work(k):
+                barrier.wait()
+                out = np.empty(inst.n)
+                return [f(theta, 2.5, out=out).copy() if k % 2 else f(theta, 2.5)
+                        for theta in np.roll(thetas, 4 * k, axis=0)]
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    results = list(pool.map(work, range(4), timeout=60))
+            finally:
+                sys.setswitchinterval(interval)
+            for k, rows in enumerate(results):
+                for got, want in zip(rows, np.roll(np.array(serial), 4 * k, axis=0)):
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), cfg
+
+    @settings(deadline=None, max_examples=200)
+    @given(theta=arrays(float, st.integers(1, 64), elements=st.floats(-10.0, 10.0)),
+           phase=st.floats(-np.pi, np.pi), detuning=st.floats(-1.0, 1.0),
+           t=st.floats(0.0, 20.0), variant=st.sampled_from(
+               [InjectionVariant.ADLER, InjectionVariant.SUBHARMONIC]))
+    def test_injection_terms_from_sin_and_cos_match_the_sine(self, theta, phase, detuning,
+                                                             t, variant):
+        f = empty_graph_rhs(theta.size, variant, phase, detuning)
+        multiple = 1.0 if variant is InjectionVariant.ADLER else 2.0
+        phi = detuning * t + phase
+        want = sine_of_difference(multiple * theta, phi)
+        assert np.max(np.abs(-f(theta, t) - want)) <= 1e-15
+
+    @settings(deadline=None, max_examples=100)
+    @given(theta=arrays(float, st.integers(1, 64), elements=st.floats(-10.0, 10.0)),
+           t=st.floats(0.0, 20.0))
+    def test_adler_at_zero_phase_is_sin_theta_bit_for_bit(self, theta, t):
+        got = -empty_graph_rhs(theta.size, InjectionVariant.ADLER, 0.0, 0.0)(theta, t)
+        assert np.array_equal(got.view(np.uint64), np.sin(theta).view(np.uint64))
 
 
 class TestLyapunov:

@@ -24,6 +24,7 @@ from oimsim import (
     integrate,
     ising_from_maxcut,
     lock_time,
+    parse_graph,
     random_instance,
     reference_graph,
     run_sweep,
@@ -31,6 +32,7 @@ from oimsim import (
     solve,
     sweep_to_csv,
 )
+from oimsim.cli import data_path
 from oimsim.experiments import _Run, _run_once
 
 
@@ -149,6 +151,31 @@ class TestRunSweep:
                 base_integrator=short_integrator(),
                 graph=reference_graph(),
             )
+
+
+class TestCentralizedCollapse:
+    def test_strong_interference_locks_into_one_cluster_with_cut_zero(self):
+        # today's model, pinned: the unweighted interference term grows like
+        # kappa_s (n - 1), and at kappa_s = 2 on frustrated10 it pulls every
+        # phase into one cluster.  R is 1, so the run "locks" (sooner than the
+        # distributed run), but the readout is one spin everywhere: cut 0.
+        g = parse_graph(data_path("frustrated10.graph").read_text())
+        spec = SweepSpec(
+            parameter="kappa_s", values=(2.0,), seeds=(0, 1),
+            base_dynamics=DynamicsConfig(sigma=1.0),
+            base_integrator=IntegratorConfig(dt=0.01, t_end=30.0, record_every=10),
+            graph=g,
+        )
+        rows = run_sweep(spec)
+        assert [(r.seed, r.mode) for r in rows] == [
+            (0, "centralized"), (0, "distributed"), (1, "centralized"), (1, "distributed")]
+        for central, distributed in zip(rows[::2], rows[1::2]):
+            assert central.best_cut == 0.0
+            assert central.final_R == pytest.approx(1.0, abs=1e-12)
+            assert central.lock_time is not None
+            assert distributed.best_cut == 13.0  # the optimum
+            assert distributed.lock_time is not None
+            assert central.lock_time < distributed.lock_time
 
 
 class TestCompareModes:

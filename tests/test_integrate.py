@@ -233,9 +233,10 @@ class TestDivergenceDetection:
         calls = {"n": 0}
 
         def bad_rhs(inst, cfg):
-            def f(theta, t):
+            def f(theta, t, out=None):
                 calls["n"] += 1
-                res = np.zeros_like(theta)
+                res = np.zeros_like(theta) if out is None else out
+                res[:] = 0.0
                 if calls["n"] > 8:
                     res[0] = np.nan
                 return res

@@ -31,6 +31,7 @@ from oimsim import (
     serialize_graph,
 )
 from oimsim import ising
+from oimsim.cli import main
 from oimsim.ising import _bit_spins, _signed_sums, energies
 
 
@@ -507,8 +508,8 @@ class TestCouplingOperator:
         assert np.array_equal(op.levels[(op.table_at - op.cols) // g.n], op.vals)
         weight = dataclasses.replace(op, levels=None, table_at=None)
         theta = np.random.default_rng(seed).uniform(-10.0, 10.0, g.n)
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        for got, want in zip(op.coupling()(cos_t, sin_t), weight.coupling()(cos_t, sin_t)):
+        z = np.cos(theta) + 1j * np.sin(theta)
+        for got, want in zip(op.coupling()(z), weight.coupling()(z)):
             assert np.array_equal(float_bits(got), float_bits(want))
 
     @pytest.mark.parametrize("weight_set, levels", [("pm1", True), ("uniform", False)])
@@ -1062,6 +1063,30 @@ class TestRandomInstance:
         a = random_instance(10, 0.3, "pm1", seed=1)
         b = random_instance(10, 0.3, "pm1", seed=2)
         assert a.edges != b.edges
+
+    @pytest.mark.parametrize("n, density, weight_set, seed", [
+        (2, 1.0, "pm1", 0), (7, 0.5, "uniform", 3), (50, 0.2, "pm1", 4),
+        (300, 0.05, "uniform", 1), (800, 0.06, "pm1", 3), (1000, 1e-300, "uniform", 0),
+    ])
+    def test_arrays_go_to_the_graph_as_the_constructor_would_make_them(
+            self, tmp_path, n, density, weight_set, seed):
+        g = random_instance(n, density, weight_set, seed=seed)
+        # the constructor on Python triples of the same edges
+        built = MaxCutInstance(n, zip(*(a.tolist() for a in g.edge_arrays())))
+        assert type(g.n) is int and g.n == built.n
+        for got, want in zip(g.edge_arrays(), built.edge_arrays()):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert not got.flags.writeable
+        assert serialize_graph(g) == serialize_graph(built)
+        out = tmp_path / "g.graph"
+        assert main(["gen", str(out), "--n", str(n), "--density", repr(density),
+                     "--weights", weight_set, "--seed", str(seed), "--quiet"]) == 0
+        assert out.read_bytes() == serialize_graph(built).encode()
+
+    def test_a_non_integer_vertex_count_is_refused(self):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            random_instance(10.0, 0.5, "pm1", seed=0)
 
     def test_invalid_density(self):
         with pytest.raises(ValueError):
