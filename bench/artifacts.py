@@ -6,8 +6,8 @@ Run from anywhere, with no options::
     python3 bench/artifacts.py
 
 It runs the command line from the root of the checkout it sits in, with
-that checkout's ``src`` first on ``PYTHONPATH``, default flags and BLAS on
-one thread:
+default flags, in the environment that ``harness.py`` sets (that checkout's
+``src`` first on ``PYTHONPATH``, BLAS on one thread):
 
 - ``sweep`` on ``sweep_sigma_reference.json`` and
   ``sweep_kappa_reference.json``, and ``compare`` on
@@ -27,14 +27,12 @@ compare the files of two commits taken on one host.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from harness import ROOT, host_record
+from harness import ROOT, write_result
 
 DATA = "src/oimsim/data"
 FILE_OUTPUTS = {
@@ -51,10 +49,7 @@ STDOUT_OUTPUTS = {
 
 def run(args: list[str]) -> bytes:
     """Standard output of ``python args`` run from the checkout root."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(args)} exited {proc.returncode}:\n{proc.stderr.decode()}")
     return proc.stdout
@@ -78,10 +73,7 @@ def main() -> int:
     for name, data in outputs():
         digests[name] = hashlib.sha256(data).hexdigest()
         print(f"{name:<26} {digests[name]}", flush=True)
-    doc = {**host_record(), "artifacts": digests}
-    path = ROOT / f"ARTIFACTS_{doc['commit']}.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path.name}")
+    write_result("ARTIFACTS", {"artifacts": digests})
     return 0
 
 

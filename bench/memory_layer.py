@@ -10,34 +10,29 @@ each joined to its right and lower neighbours with a seeded +-1 weight
 (2 side^2 edges), and writes it in the rudy edge-list format to a temporary
 directory.  A fresh interpreter then imports ``oimsim`` from the ``src/`` of
 the checkout this script sits in and runs the command line's ``solve`` on
-that file with one attempt, seed 0 and ``--threads 1``; BLAS runs on one
-thread.  The child reports its own peak resident set (``ru_maxrss``) right
-after the import and after the solve, and the CPU time of the solve.
+that file with one attempt, seed 0 and ``--threads 1``.  The child reports
+its own peak resident set (``ru_maxrss``) right after the import and after
+the solve, and the CPU time of the solve.
 
 The child runs under an address-space limit of ``LIMIT_GIB`` GiB, so that a
 program that builds an n x n matrix (3.2 GB at n = 19881) fails fast with
 a MemoryError instead of taking the host's memory; such a row records the
 exit status and the last line of the error.
 
-The reference kernel of ``harness.py`` is timed on the CPU clock right
-before and right after every row, and the mean of the two is recorded beside
-it as ``kernel_ms``.  The table goes to standard output, and
-``BENCH_mem_<commit>.json`` at the root of the checkout records it with the
-commit (``git describe --always --dirty``), the CPU count, and the numpy and
-Python versions.
+Each row carries the reference-kernel bracket that ``harness.py``
+describes.  The table goes to standard output, and
+``BENCH_mem_<commit>.json`` at the root of the checkout records it.
 """
 from __future__ import annotations
 
 import json
-import os
 import resource
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from harness import ROOT, host_record, reference_kernel, timed_ms
+from harness import bracketed, write_result
 
 import numpy as np
 
@@ -48,12 +43,11 @@ LIMIT_GIB = 2
 CHILD = """
 import io, json, resource, sys, time
 from contextlib import redirect_stdout
-sys.path.insert(0, sys.argv[1])
 import oimsim.cli
 import_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 start = time.process_time()
 with redirect_stdout(io.StringIO()):
-    rc = oimsim.cli.main(["solve", sys.argv[2], "--attempts", "1", "--seed", "0",
+    rc = oimsim.cli.main(["solve", sys.argv[1], "--attempts", "1", "--seed", "0",
                           "--threads", "1", "--quiet"])
 cpu_s = time.process_time() - start
 print(json.dumps({"rc": rc, "cpu_s": cpu_s, "import_rss_kib": import_rss,
@@ -82,11 +76,8 @@ def limit_address_space() -> None:
 
 def solve_in_child(path: Path) -> dict:
     """One solve attempt in a fresh interpreter: its report, or its failure."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", CHILD, str(ROOT / "src"), str(path)],
-                         capture_output=True, text=True, env=env,
-                         preexec_fn=limit_address_space)
+    out = subprocess.run([sys.executable, "-c", CHILD, str(path)],
+                         capture_output=True, text=True, preexec_fn=limit_address_space)
     if out.returncode != 0:
         last = (out.stderr.strip().splitlines() or ["no output"])[-1]
         return {"exit": out.returncode, "error": last}
@@ -97,7 +88,6 @@ def solve_in_child(path: Path) -> dict:
 
 
 def main() -> int:
-    reference_kernel()
     rows = []
     print(f"{'side':>5} {'n':>6} {'edges':>6} {'peak_rss_mb':>12} {'import_rss_mb':>14} "
           f"{'cpu_s':>7} {'kernel_ms':>10}  exit")
@@ -106,20 +96,15 @@ def main() -> int:
             text, edges = torus_text(side, SEED)
             path = Path(tmp) / f"torus{side}.graph"
             path.write_text(text)
-            kernel_before = timed_ms(reference_kernel, time.process_time)
-            row = {"side": side, "n": side * side, "edges": edges, **solve_in_child(path)}
-            kernel_after = timed_ms(reference_kernel, time.process_time)
-            row["kernel_ms"] = (kernel_before + kernel_after) / 2
+            row = bracketed(lambda: {"side": side, "n": side * side, "edges": edges,
+                                     **solve_in_child(path)})
             rows.append(row)
             print(f"{side:>5} {row['n']:>6} {edges:>6} "
                   + " ".join(f"{row[k]:>{w}.{p}f}" if k in row else f"{'-':>{w}}"
                              for k, w, p in (("peak_rss_mb", 12, 1), ("import_rss_mb", 14, 1),
                                              ("cpu_s", 7, 2), ("kernel_ms", 10, 1)))
                   + f"  {row['exit']}" + (f" {row['error']}" if "error" in row else ""))
-    doc = {**host_record(), "seed": SEED, "limit_gib": LIMIT_GIB, "rows": rows}
-    path = ROOT / f"BENCH_mem_{doc['commit']}.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path.name}")
+    write_result("BENCH_mem", {"seed": SEED, "limit_gib": LIMIT_GIB, "rows": rows})
     return 0
 
 

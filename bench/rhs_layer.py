@@ -31,40 +31,27 @@ The rows:
 - for each n in ``TORUS_SIZES``, the same for a +-1 graph with the edge
   count of a 2-D torus (2n edges, edge probability 4 / (n - 1)).
 
-BLAS runs on one thread, as the command line's ``--threads 1`` and the
-benchmark in ``perfbench/`` run it.  A checkout whose ``_CSR`` keeps no
-weight levels times the weight kernel only.
+A checkout whose ``_CSR`` keeps no weight levels times the weight kernel
+only.
 
-Each time is the median over ``BLOCKS`` blocks of repeated calls, in
-microseconds per call.  The reference kernel of ``harness.py`` is timed on
-the same clock right before and right after every row, and the mean of the
-two is recorded beside it as ``kernel_ms``.  The table goes to standard
-output, and ``BENCH_rhs_<commit>.json`` at the root of the checkout records
-it with the commit (``git describe --always --dirty``), the CPU count, and
-the numpy and Python versions.  The exit status is 1 when the two CSR
-kernels differ in any bit on any row, 0 otherwise.
+Each time is in microseconds per call, over ``BLOCKS`` blocks of at least
+``BLOCK_S`` each, on the clock and with the reference-kernel bracket that
+``harness.py`` describes.  The table goes to standard output, and
+``BENCH_rhs_<commit>.json`` at the root of the checkout records it.  The exit
+status is 1 when the two CSR kernels differ in any bit on any row, 0
+otherwise.
 """
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 import dataclasses
-import json
-import statistics
 import sys
-import time
 
-from harness import ROOT, host_record, reference_kernel, timed_ms  # noqa: E402
+from harness import bracketed, same_bits, time_calls, write_result
 
-sys.path.insert(0, str(ROOT / "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from oimsim.dynamics import DynamicsConfig, make_rhs  # noqa: E402
-from oimsim.ising import _CSR, IsingInstance, _Dense, ising_from_maxcut, random_instance  # noqa: E402
+from oimsim.dynamics import DynamicsConfig, make_rhs
+from oimsim.ising import _CSR, IsingInstance, _Dense, ising_from_maxcut, random_instance
 
 SIZES = (10, 100, 200, 400, 500, 800, 2000)
 DENSITIES = (0.06, 0.1, 0.125, 0.25, 1.0)
@@ -102,61 +89,44 @@ def csr_kernels(csr: _CSR) -> dict:
             "level": csr.coupling()}
 
 
-def per_call_us(call) -> float:
-    """Median microseconds per call over BLOCKS blocks of about BLOCK_S each."""
-    call()
-    start = time.perf_counter()
-    call()
-    reps = max(1, int(BLOCK_S / max(time.perf_counter() - start, 1e-9)))
-    blocks = []
-    for _ in range(BLOCKS):
-        start = time.perf_counter()
-        for _ in range(reps):
-            call()
-        blocks.append((time.perf_counter() - start) / reps)
-    return 1e6 * statistics.median(blocks)
-
-
-def bit_equal(a: tuple, b: tuple) -> bool:
-    return all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(a, b))
+def measure(n: int, density: float, weights: str, inst: IsingInstance, J, theta) -> dict:
+    """The row of one instance: each kernel's time and the closure's, its
+    path, and whether the two CSR kernels give the same bits."""
+    z = np.cos(theta) + 1j * np.sin(theta)
+    csr = inst._operator if inst.sparse else _CSR.from_dense(J)
+    cell = {"n": n, "density": density, "weights": weights,
+            "nnz": int(np.count_nonzero(csr.vals))}
+    kernels = {"dense": _Dense(J).coupling() if J is not None else None, **csr_kernels(csr)}
+    for name, couple in kernels.items():
+        if couple:
+            cell.update(time_calls(lambda: couple(z), BLOCK_S, BLOCKS).fields(f"{name}_us", 1e6))
+        else:
+            cell[f"{name}_us"] = cell[f"{name}_us_min"] = None
+    f = make_rhs(inst, DynamicsConfig())
+    cell.update(time_calls(lambda: f(theta, 0.0), BLOCK_S, BLOCKS).fields("rhs_us", 1e6))
+    cell["path"] = ("dense" if not inst.sparse
+                    else "weight" if getattr(inst._operator, "levels", None) is None
+                    else "level")
+    cell["bit_equal"] = (None if kernels["level"] is None else
+                         all(map(same_bits, kernels["weight"](z), kernels["level"](z))))
+    return cell
 
 
 def main() -> int:
     rng = np.random.default_rng(SEED)
     cells = []
-    reference_kernel()
     columns = ("dense_us", "weight_us", "level_us", "rhs_us", "kernel_ms")
     print(f"{'n':>5} {'density':>8} {'weights':>8} {'nnz':>8} "
           + " ".join(f"{k:>10}" for k in columns) + f"  {'path':<6}  bit_equal")
     for n, density, weights, inst, J in instances(rng):
         theta = rng.uniform(0.0, 2.0 * np.pi, n)
-        z = np.cos(theta) + 1j * np.sin(theta)
-        csr = inst._operator if inst.sparse else _CSR.from_dense(J)
-        cell = {"n": n, "density": density, "weights": weights,
-                "nnz": int(np.count_nonzero(csr.vals))}
-        kernel_before = timed_ms(reference_kernel, time.perf_counter)
-        kernels = {"dense": _Dense(J).coupling() if J is not None else None,
-                   **csr_kernels(csr)}
-        for name, couple in kernels.items():
-            cell[f"{name}_us"] = per_call_us(lambda: couple(z)) if couple else None
-        f = make_rhs(inst, DynamicsConfig())
-        cell["rhs_us"] = per_call_us(lambda: f(theta, 0.0))
-        cell["path"] = ("dense" if not inst.sparse
-                        else "weight" if getattr(inst._operator, "levels", None) is None
-                        else "level")
-        cell["bit_equal"] = (None if kernels["level"] is None else
-                             bit_equal(kernels["weight"](z), kernels["level"](z)))
-        kernel_after = timed_ms(reference_kernel, time.perf_counter)
-        cell["kernel_ms"] = (kernel_before + kernel_after) / 2
+        cell = bracketed(lambda: measure(n, density, weights, inst, J, theta))
         cells.append(cell)
         print(f"{n:>5} {density:>8.3g} {weights:>8} {cell['nnz']:>8} "
               + " ".join(f"{cell[k]:>10.1f}" if cell[k] is not None else f"{'-':>10}"
                          for k in columns)
               + f"  {cell['path']:<6}  {'-' if cell['bit_equal'] is None else cell['bit_equal']}")
-    doc = {**host_record(), "blocks": BLOCKS, "seed": SEED, "cells": cells}
-    path = ROOT / f"BENCH_rhs_{doc['commit']}.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path.name}")
+    write_result("BENCH_rhs", {"blocks": BLOCKS, "seed": SEED, "cells": cells})
     unequal = [(c["n"], c["density"], c["weights"]) for c in cells if c["bit_equal"] is False]
     if unequal:
         print(f"the CSR kernels differ in some bit on rows {unequal}", file=sys.stderr)

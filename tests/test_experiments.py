@@ -153,22 +153,30 @@ class TestRunSweep:
             )
 
 
+def frustrated10_kappa_rows(kappa_s):
+    """Sweep rows of the bundled kappa sweep's setting (frustrated10, RK4,
+    t_end 30) at one kappa_s, seeds 0 and 1: centralized and distributed
+    per seed."""
+    g = parse_graph(data_path("frustrated10.graph").read_text())
+    spec = SweepSpec(
+        parameter="kappa_s", values=(kappa_s,), seeds=(0, 1),
+        base_dynamics=DynamicsConfig(sigma=1.0),
+        base_integrator=IntegratorConfig(dt=0.01, t_end=30.0, record_every=10),
+        graph=g,
+    )
+    rows = run_sweep(spec)
+    assert [(r.seed, r.mode) for r in rows] == [
+        (0, "centralized"), (0, "distributed"), (1, "centralized"), (1, "distributed")]
+    return rows
+
+
 class TestCentralizedCollapse:
     def test_strong_interference_locks_into_one_cluster_with_cut_zero(self):
         # today's model, pinned: the unweighted interference term grows like
         # kappa_s (n - 1), and at kappa_s = 2 on frustrated10 it pulls every
         # phase into one cluster.  R is 1, so the run "locks" (sooner than the
         # distributed run), but the readout is one spin everywhere: cut 0.
-        g = parse_graph(data_path("frustrated10.graph").read_text())
-        spec = SweepSpec(
-            parameter="kappa_s", values=(2.0,), seeds=(0, 1),
-            base_dynamics=DynamicsConfig(sigma=1.0),
-            base_integrator=IntegratorConfig(dt=0.01, t_end=30.0, record_every=10),
-            graph=g,
-        )
-        rows = run_sweep(spec)
-        assert [(r.seed, r.mode) for r in rows] == [
-            (0, "centralized"), (0, "distributed"), (1, "centralized"), (1, "distributed")]
+        rows = frustrated10_kappa_rows(2.0)
         for central, distributed in zip(rows[::2], rows[1::2]):
             assert central.best_cut == 0.0
             assert central.final_R == pytest.approx(1.0, abs=1e-12)
@@ -176,6 +184,19 @@ class TestCentralizedCollapse:
             assert distributed.best_cut == 13.0  # the optimum
             assert distributed.lock_time is not None
             assert central.lock_time < distributed.lock_time
+
+
+class TestDistributedStrongInjection:
+    def test_strong_injection_locks_without_solving(self):
+        # today's model, pinned: at kappa_s = 4 the injection outweighs the
+        # problem coupling.  Every phase locks to 0 or pi, so R is 1 and the
+        # run "locks", but the spins it reads out cut less than
+        # frustrated10's optimum of 13.
+        distributed = frustrated10_kappa_rows(4.0)[1::2]
+        for row in distributed:
+            assert row.final_R == pytest.approx(1.0, abs=1e-12)
+            assert row.lock_time is not None
+            assert row.best_cut < 13.0
 
 
 class TestCompareModes:
