@@ -29,9 +29,8 @@ when it does not on any row, 0 otherwise.
 from __future__ import annotations
 
 import sys
-import tracemalloc
 
-from harness import bracketed, same_bits, time_calls, write_result
+from harness import bracketed, same_bits, time_calls, traced_mib, write_result
 
 import numpy as np
 
@@ -42,18 +41,6 @@ BLOCKS = 7
 BLOCK_S = 0.05
 BUDGET_S = 5.0
 SEED = 0
-
-
-def traced_mib(call) -> tuple[float, float]:
-    """The tracemalloc peak of one call, and what its result retains, in MiB."""
-    tracemalloc.start()
-    try:
-        result = call()
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    del result
-    return peak / 2**20, retained / 2**20
 
 
 def reproduces(parsed, g) -> bool:

@@ -1,6 +1,6 @@
 """What the layer harnesses in this directory share: the environment they run
-in, one timing loop, one reference-kernel bracket, one bit comparison and one
-result writer.
+in, one timing loop, one reference-kernel bracket, one traced-memory probe,
+one bit comparison and one result writer.
 
 Importing this module pins BLAS to one thread, as the command line's
 ``--threads 1`` and the benchmark in ``perfbench/`` run it, and puts the
@@ -40,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -125,6 +126,18 @@ def bracketed(measure: Callable[[], dict]) -> dict:
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two arrays have one dtype, one shape and the same bytes."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def traced_mib(call) -> tuple[float, float]:
+    """The tracemalloc peak of one call, and what its result retains, in MiB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak / 2**20, retained / 2**20
 
 
 def commit() -> str:

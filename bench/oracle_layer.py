@@ -14,12 +14,14 @@ assignments).
 Each time is in milliseconds per call, over ``REPEATS`` blocks of one call,
 on the clock and with the reference-kernel bracket that ``harness.py``
 describes; assignments per second divide the enumerated count by the
-median.  The table goes to standard output, and
-``BENCH_oracle_<commit>.json`` at the root of the checkout records it.
+median.  After the timed calls, the oracle runs once more under
+``tracemalloc``: ``peak_mib`` is the peak traced memory of that call, the
+instance built before tracing starts.  The table goes to standard output,
+and ``BENCH_oracle_<commit>.json`` at the root of the checkout records it.
 """
 from __future__ import annotations
 
-from harness import bracketed, time_calls, write_result
+from harness import bracketed, time_calls, traced_mib, write_result
 
 import numpy as np
 
@@ -36,20 +38,22 @@ SEED = 0
 
 
 def measure(n: int, with_field: bool, inst: IsingInstance) -> dict:
-    """The row of one instance: the oracle's time, and the ground state it finds."""
+    """The row of one instance: the oracle's time and traced memory, and the
+    ground state it finds."""
     assignments = 2 ** (n if with_field else n - 1)
     timing = time_calls(lambda: brute_force_ground_state(inst), 0.0, REPEATS)
     _, energy, degeneracy = timing.result
     return {"n": n, "field": with_field, "assignments": assignments,
             **timing.fields("cpu_ms", 1e3),
             "assignments_per_s": assignments / timing.median_s,
+            "peak_mib": traced_mib(lambda: brute_force_ground_state(inst))[0],
             "energy": energy, "degeneracy": degeneracy}
 
 
 def main() -> int:
     cells = []
     print(f"{'n':>3} {'field':>6} {'assignments':>12} {'cpu_ms':>9} {'per_s':>10} "
-          f"{'kernel_ms':>10}")
+          f"{'peak_MiB':>9} {'kernel_ms':>10}")
     for n in SIZES:
         couplings = ising_from_maxcut(random_instance(n, 0.5, "pm1", seed=SEED)).couplings
         for with_field in (False, True):
@@ -58,7 +62,8 @@ def main() -> int:
             cell = bracketed(lambda: measure(n, with_field, inst))
             cells.append(cell)
             print(f"{n:>3} {str(with_field):>6} {cell['assignments']:>12} {cell['cpu_ms']:>9.1f} "
-                  f"{cell['assignments_per_s']:>10.3g} {cell['kernel_ms']:>10.1f}")
+                  f"{cell['assignments_per_s']:>10.3g} {cell['peak_mib']:>9.2f} "
+                  f"{cell['kernel_ms']:>10.1f}")
     write_result("BENCH_oracle", {"repeats": REPEATS, "seed": SEED, "cells": cells})
     return 0
 

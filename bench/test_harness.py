@@ -103,6 +103,16 @@ def test_same_bits(harness):
     assert not harness.same_bits(np.array([math.nan]), np.array([-math.nan]))
 
 
+def test_traced_mib_sees_the_peak_and_what_the_result_keeps(harness):
+    def call():
+        np.ones(1 << 18)            # 2 MiB, freed before the call returns
+        return np.ones(1 << 17)     # 1 MiB, kept by the result
+
+    peak, retained = harness.traced_mib(call)
+    assert 2.0 <= peak < 3.5
+    assert 1.0 <= retained < 1.5
+
+
 def test_the_writer_names_the_file_by_commit_and_records_the_host(
         harness, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(harness, "ROOT", tmp_path)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapacityError, GraphParseError
 
 BRUTE_FORCE_MAX_N = 24
-_CHUNK_BITS = 16
+_CHUNK_BITS = 14
 _BLOCK_ELEMENTS = 1 << 16   # gathered terms per row block of a CSR product
 
 
@@ -457,28 +457,55 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
     with the lowest enumeration index among those within ``atol = 1e-9`` of
     the minimum energy, its energy, and how many assignments lie within
     ``atol`` of the minimum, counting each flip pair once in the zero-field
-    case.  ``atol`` only matters for real-valued weights.
+    case.  ``atol`` only matters for real-valued weights.  Raises ValueError
+    when ``bound = 4 * (sum_{i<j} |J_ij| + sum_i |h_i|)``, which covers every
+    partial sum below, is not a finite float.
 
-    The spins split in two: V, the ``min(n_bits, 16)`` lowest free spins,
-    which vary inside a chunk of 2^|V| indices, and C, the pinned spin and
-    the high bits, which stay constant across a chunk.  Energies are built
-    by sign-flip doubling, with no spin rows stored: the indices
+    The spins split in two: V, the ``min(n_bits, _CHUNK_BITS)`` lowest free
+    spins, which vary inside a chunk of 2^|V| indices, and C, the pinned
+    spin and the H high bits, which stay constant across a chunk.  Energies
+    are built by sign-flip doubling, with no spin rows stored: the indices
     ``[m, 2m)``, ``m = 2^b``, are the indices ``[0, m)`` with V-spin b
     flipped from +1 to -1.  The energies e_V of all V-assignments under
     (J_VV, h_V) are built once: flipping spin b raises the energy by twice
     its local field, itself a doubling over ``J_VV[b, :b]`` offset by
-    ``sum(J_VV[b, b+1:]) + h_V[b]``.  A chunk then costs O(2^|V|) adds:
-    ``e = e_V - r + (-s_C.J_CC.s_C / 2 - h_C.s_C)``, where ``r`` is the
-    doubling vector of ``u = J_VC s_C`` (``r[0] = sum(u)``,
-    ``r[m:2m] = r[:m] - 2 u_b``).  A first pass keeps each chunk's minimum;
-    a second revisits only the chunks whose minimum lies within ``atol`` of
-    the best, and counts there.
+    ``sum(J_VV[b, b+1:]) + h_V[b]``.  Chunk c's energies are
+    ``e_V - r(u_c) + K_c``: ``r`` is the doubling vector of
+    ``u_c = J_VC s_C`` (``r[0] = sum(u)``, ``r[m:2m] = r[:m] - 2 u_b``) and
+    ``K_c = -s_C.J_CC.s_C / 2 - h_C.s_C``, all 2^H of them from one product.
+
+    Pass 1 walks the chunks in Gray order, ``c = t ^ (t >> 1)``, so that each
+    step flips one C spin j and changes ``d = e_V - r(u_c)``, held in one
+    buffer, by ``+2 R_j`` (j to -1) or ``-2 R_j`` (j back to +1), where
+    ``R_j``, stored for each of the H walked spins, is the doubling vector
+    of column j of J_VC.  A chunk costs one in-place add and one min; its
+    walked minimum is ``d.min() + K_c``.  With integer weights every walked
+    value is exact.  With real weights a walked energy drifts from the one
+    pass 2 computes for the same assignment by at most
+    ``delta = (2^H + 8 n) * eps * bound``, ``eps = 2^-52``: both share e_V
+    and K_c, and differ only by the rounding of u_c (|C| terms), of r(u_c)
+    and of each R_j (2 |V| operations apiece; each R_j enters the walked
+    sum with net weight 0 or 1), of the 2^H - 1 step adds and of the add
+    of K_c, each below ``eps / 2`` times a value below ``bound / 2``.  So
+    every assignment within ``atol`` of the minimum lies in a chunk whose
+    walked minimum is within ``atol + 2 delta`` of the walked best: those
+    chunks are the candidates.
+
+    Pass 2 recomputes each candidate chunk directly, ``e_V - r(u_c) + K_c``,
+    in ascending chunk order.  The best energy is the least of these
+    values; the pick and the count are taken from them against ``atol``.
     """
     check_brute_force_size(inst.n)
     n, J, h = inst.n, inst.couplings, inst.field
+    with np.errstate(over="ignore"):
+        bound = 4.0 * (np.abs(np.triu(J, 1)).sum() + np.abs(h).sum())
+    if not np.isfinite(bound):
+        raise ValueError("energies overflow: 4 * (sum of |J_ij| over pairs + sum of |h_i|) "
+                         "exceeds the float range; scale the weights down")
     n_bits = n if inst.has_field else n - 1
     first = n - n_bits                      # index of the first free spin
     low = min(n_bits, _CHUNK_BITS)
+    high = n_bits - low
     V = np.arange(first, first + low)
     C = np.r_[0:first, first + low:n]
     J_VV, h_V = J[np.ix_(V, V)], h[V]
@@ -489,23 +516,46 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
         field_b = _signed_sums(J_VV[b, :b]) + (J_VV[b, b + 1:].sum() + h_V[b])
         e_V[m:2 * m] = e_V[:m] + 2.0 * field_b
     J_VC, J_CC, h_C = J[np.ix_(V, C)], J[np.ix_(C, C)], h[C]
-    buf = np.empty(1 << low)    # reused: each fresh 512 KiB array faults its pages in anew
+    s_C = np.hstack([np.ones((1 << high, first)), _bit_spins(np.arange(1 << high), high)])
+    K = _quadratic_energies(s_C @ J_CC, h_C, s_C)
+    steps = _signed_sums(J_VC[:, first:].T)     # row j: R_j
+    steps *= 2.0
+    d = np.empty(1 << low)      # reused: each fresh array faults its pages in anew
+
+    def signed_part(c: int) -> np.ndarray:
+        """``e_V - r(u_c)`` of chunk c, in ``d``."""
+        return np.subtract(e_V, _signed_sums(J_VC @ s_C[c], out=d), out=d)
+
+    walked = np.empty(1 << high)
+    walked[0] = signed_part(0).min()
+    c = 0
+    for t in range(1, 1 << high):
+        j = (t & -t).bit_length() - 1
+        c ^= 1 << j
+        if c >> j & 1:
+            d += steps[j]
+        else:
+            d -= steps[j]
+        walked[c] = d.min()
+    walked += K
 
     def chunk_energies(c: int) -> np.ndarray:
-        s_C = np.concatenate([np.ones(first), _bit_spins(np.array([c]), n_bits - low)[0]])
-        e = np.subtract(e_V, _signed_sums(J_VC @ s_C, out=buf), out=buf)
-        e += _quadratic_energies(s_C[None] @ J_CC, h_C, s_C[None])[0]
+        e = signed_part(c)
+        e += K[c]
         return e
 
-    chunk_min = np.array([chunk_energies(c).min() for c in range(1 << (n_bits - low))])
-    best_energy = chunk_min.min()
     atol = 1e-9
+    delta = ((1 << high) + 8 * n) * np.finfo(float).eps * bound
+    candidates = np.flatnonzero(walked - walked.min() <= atol + 2.0 * delta)
+    chunk_min = [chunk_energies(c).min() for c in candidates]
+    best_energy = min(chunk_min)
     best_index, count = None, 0
-    for c in np.flatnonzero(chunk_min - best_energy <= atol):
-        near = np.flatnonzero(chunk_energies(c) - best_energy <= atol)
-        if best_index is None:
-            best_index = (int(c) << low) + int(near[0])
-        count += near.size
+    for c, m in zip(candidates, chunk_min):
+        if m - best_energy <= atol:
+            near = np.flatnonzero(chunk_energies(c) - best_energy <= atol)
+            if best_index is None:
+                best_index = (int(c) << low) + int(near[0])
+            count += near.size
 
     spins = np.ones(n)
     spins[first:] = _bit_spins(np.array([best_index]), n_bits)[0]
@@ -520,14 +570,18 @@ def check_brute_force_size(n: int) -> None:
 
 
 def _signed_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``r[k] = sum_b (1 - 2 bit_b(k)) w_b`` for every k < 2^len(w), by doubling:
-    ``r[0] = sum(w)``, then ``r[m:2m] = r[:m] - 2 w_b`` for ``m = 2^b``.
-    Written into ``out`` when given."""
-    r = np.empty(1 << w.size) if out is None else out
-    r[0] = w.sum()
-    for b, wb in enumerate(w):
+    """``r[..., k] = sum_b (1 - 2 bit_b(k)) w[..., b]`` for every k < 2^L, L the
+    length of w's last axis, by doubling: ``r[..., 0] = w.sum(-1)``, then
+    ``r[..., m:2m] = r[..., :m] - 2 w[..., b]`` for ``m = 2^b``.  Written into
+    ``out`` when given."""
+    r = np.empty(w.shape[:-1] + (1 << w.shape[-1],)) if out is None else out
+    r[..., 0] = w.sum(axis=-1)
+    # bit axis first, so that a vector's terms are numpy scalars, which a
+    # subtract takes faster than one-element arrays
+    rt = r.T
+    for b, wb in enumerate(2.0 * w.T):
         m = 1 << b
-        np.subtract(r[:m], 2.0 * wb, out=r[m:2 * m])
+        np.subtract(rt[:m], wb, out=rt[m:2 * m])
     return r
 
 

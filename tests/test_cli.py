@@ -108,6 +108,16 @@ class TestOracleCommand:
         assert cli.main(["oracle", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["max_cut"] == 0.0
 
+    def test_overflowing_energies_exit_code(self, tmp_path, capsys):
+        from oimsim import cli
+
+        path = tmp_path / "big.graph"
+        path.write_text("3 3\n1 2 1e308\n1 3 1e308\n2 3 1e308\n")
+        assert cli.main(["oracle", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("oimsim oracle: error: energies overflow")
+
     def test_capacity_exit_code(self, tmp_path):
         big = tmp_path / "big.graph"
         run_cli("gen", big, "--n", "30", "--density", "0.2", "--seed", "1", "--quiet")

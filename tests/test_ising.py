@@ -722,6 +722,18 @@ class TestBruteForce:
         expected = min(hamiltonian_energy(inst, s) for s in all_assignments(5))
         assert energy == pytest.approx(expected, abs=1e-12)
 
+    def test_overflowing_energies_raise(self):
+        # 4 * (sum of |J_ij| + sum of |h_i|) past the float range: NaN energies
+        # once left the search without a minimizer
+        J = ising_from_maxcut(random_instance(20, 0.5, "pm1", seed=1)).couplings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for inst in (IsingInstance(n=20, couplings=J * 1e307),
+                         ising_from_maxcut(triangle_graph(1e308))):
+                with pytest.raises(ValueError, match="energies overflow"):
+                    brute_force_ground_state(inst)
+            assert brute_force_ground_state(pair_instance(1e307))[1] == -1e307
+
 
 def assert_same_as_reference(inst: IsingInstance, exact: bool) -> None:
     """Same count as the reference; same spins and energy bits when ``exact``
@@ -745,14 +757,24 @@ class TestSplitEnumeration:
     def test_matches_reference_oracle(self, n, seed, integer, with_field):
         assert_same_as_reference(seeded_instance(n, seed, integer, with_field), exact=integer)
 
-    # free spins 15 (one block smaller than a chunk), 16 (exactly one chunk),
-    # 17 (two chunks); pinned without field, all free with it
-    @pytest.mark.parametrize("n_bits", [15, 16, 17])
+    # free spins one fewer than a chunk holds, exactly one chunk, and two
+    # chunks; pinned without field, all free with it
+    @pytest.mark.parametrize("n_bits", [ising._CHUNK_BITS - 1, ising._CHUNK_BITS,
+                                        ising._CHUNK_BITS + 1])
     @pytest.mark.parametrize("with_field", [False, True])
     @pytest.mark.parametrize("integer", [True, False])
     def test_chunk_edges(self, n_bits, with_field, integer):
         n = n_bits if with_field else n_bits + 1
         inst = seeded_instance(n, 100 + n_bits, integer, with_field)
+        assert_same_as_reference(inst, exact=integer)
+
+    # 32 chunks: the Gray-order walk flips each of five high spins both ways
+    @pytest.mark.parametrize("with_field", [False, True])
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_deep_walk(self, with_field, integer):
+        n_bits = ising._CHUNK_BITS + 5
+        n = n_bits if with_field else n_bits + 1
+        inst = seeded_instance(n, 200 + n_bits, integer, with_field)
         assert_same_as_reference(inst, exact=integer)
 
     @pytest.mark.parametrize("field", [None, [0.0], [-0.5], [2.0]])
@@ -774,6 +796,15 @@ class TestSplitEnumeration:
         make, w = family
         inst = make(n, w)
         assert reference_brute_force_ground_state(inst)[2] > 1
+        assert_same_as_reference(inst, exact=False)
+
+    # an odd ring's 21 ties up to the flip lie in 7 of the 64 walked chunks
+    def test_tie_rule_across_walked_chunks(self):
+        n = ising._CHUNK_BITS + 7
+        inst = ring_instance(n, 0.3)
+        e = energies(inst, enumeration_rows(inst, 0, 1 << (n - 1)))
+        ties = np.flatnonzero(e - e.min() <= 1e-9)
+        assert np.unique(ties >> ising._CHUNK_BITS).size > 1
         assert_same_as_reference(inst, exact=False)
 
     # at the cap: 2^23 assignments in 128 chunks without a field, 2^24 in 256
@@ -811,17 +842,24 @@ class TestSplitEnumeration:
         np.testing.assert_allclose(_signed_sums(w_real), rows @ w_real, rtol=0, atol=1e-12)
         out = np.empty(1 << k)
         assert _signed_sums(w_real, out=out) is out
+        w_rows = rng.integers(-5, 6, (3, k)).astype(float)
+        assert np.array_equal(_signed_sums(w_rows), w_rows @ rows.T)
+        assert np.array_equal(_signed_sums(w_rows.T.copy().T), w_rows @ rows.T)
 
     def test_memory_stays_below_the_spin_block(self):
-        # a (2^16, 16) block of float spin rows alone is 8 MiB
-        inst = ising_from_maxcut(random_instance(22, 0.5, "pm1", seed=5))
-        tracemalloc.start()
-        try:
-            brute_force_ground_state(inst)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        # a (2^16, 16) block of float spin rows alone is 8 MiB; at n = 24 with
+        # a field the walk stores ten step vectors R_j
+        for n, with_field in ((22, False), (24, True)):
+            couplings = ising_from_maxcut(random_instance(n, 0.5, "pm1", seed=5)).couplings
+            field = np.random.default_rng(5).choice([-1.0, 1.0], n) if with_field else None
+            inst = IsingInstance(n=n, couplings=couplings, field=field)
+            tracemalloc.start()
+            try:
+                brute_force_ground_state(inst)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
 
 
 class TestParseGraph:
