@@ -11,12 +11,14 @@ each n in ``SIZES``, times ``brute_force_ground_state`` on the Ising form of
 assignments, the first spin pinned) and with a seeded +-1 field (2^n
 assignments).
 
-Each time is in milliseconds per call, over ``REPEATS`` blocks of one call,
-on the clock and with the reference-kernel bracket that ``harness.py``
-describes; assignments per second divide the enumerated count by the
-median.  After the timed calls, the oracle runs once more under
-``tracemalloc``: ``peak_mib`` is the peak traced memory of that call, the
-instance built before tracing starts.  The table goes to standard output,
+Each time is in milliseconds per call, over ``BLOCKS`` blocks of at least
+``BLOCK_S`` each, on the clock and with the reference-kernel bracket that
+``harness.py`` describes: a call takes 1-10 ms, so a block averages over
+many calls.  ``calls`` records how many calls each time rests on;
+assignments per second divide the enumerated count by the median.  After
+the timed calls, the oracle runs once more under ``tracemalloc``:
+``peak_mib`` is the peak traced memory of that call, the instance built
+before tracing starts.  The table goes to standard output,
 and ``BENCH_oracle_<commit>.json`` at the root of the checkout records it.
 """
 from __future__ import annotations
@@ -33,7 +35,8 @@ from oimsim.ising import (
 )
 
 SIZES = (20, 22, 24)
-REPEATS = 9
+BLOCKS = 9
+BLOCK_S = 0.05
 SEED = 0
 
 
@@ -41,9 +44,9 @@ def measure(n: int, with_field: bool, inst: IsingInstance) -> dict:
     """The row of one instance: the oracle's time and traced memory, and the
     ground state it finds."""
     assignments = 2 ** (n if with_field else n - 1)
-    timing = time_calls(lambda: brute_force_ground_state(inst), 0.0, REPEATS)
+    timing = time_calls(lambda: brute_force_ground_state(inst), BLOCK_S, BLOCKS)
     _, energy, degeneracy = timing.result
-    return {"n": n, "field": with_field, "assignments": assignments,
+    return {"n": n, "field": with_field, "assignments": assignments, "calls": timing.calls,
             **timing.fields("cpu_ms", 1e3),
             "assignments_per_s": assignments / timing.median_s,
             "peak_mib": traced_mib(lambda: brute_force_ground_state(inst))[0],
@@ -64,7 +67,8 @@ def main() -> int:
             print(f"{n:>3} {str(with_field):>6} {cell['assignments']:>12} {cell['cpu_ms']:>9.1f} "
                   f"{cell['assignments_per_s']:>10.3g} {cell['peak_mib']:>9.2f} "
                   f"{cell['kernel_ms']:>10.1f}")
-    write_result("BENCH_oracle", {"repeats": REPEATS, "seed": SEED, "cells": cells})
+    write_result("BENCH_oracle", {"blocks": BLOCKS, "block_s": BLOCK_S, "seed": SEED,
+                                  "cells": cells})
     return 0
 
 

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from importlib import resources
 from pathlib import Path
 
 from .dynamics import DynamicsConfig
@@ -23,6 +22,7 @@ from .errors import CapacityError, ConfigError, DivergenceError, GraphParseError
 from .experiments import (
     SweepSpec,
     compare_modes,
+    data_path,
     reference_graph,
     run_sweep,
     solve,
@@ -83,13 +83,9 @@ _SOLVE_OVERRIDES = {
 }
 
 
-def data_path(name: str) -> Path:
-    """Filesystem path of a bundled data file (graphs, reference configs)."""
-    return Path(resources.files("oimsim") / "data" / name)
-
-
 def _merge(base: dict, override: dict, crumb: str = "") -> dict:
-    """Recursive merge rejecting keys absent from the base layout."""
+    """Recursive merge rejecting keys absent from the base layout, and a
+    value that is not an object or an array where the base holds one."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{crumb}.{key}" if crumb else key
@@ -97,6 +93,8 @@ def _merge(base: dict, override: dict, crumb: str = "") -> dict:
             raise ConfigError(f"unknown config key {where!r}")
         if isinstance(base[key], dict) and not isinstance(value, dict):
             raise ConfigError(f"config key {where!r} must be an object")
+        if isinstance(base[key], list) and not isinstance(value, list):
+            raise ConfigError(f"config key {where!r} must be an array")
         if isinstance(base[key], dict):
             out[key] = _merge(base[key], value, where)
         else:
@@ -123,6 +121,8 @@ def load_effective_config(
         if not isinstance(raw, dict):
             raise ConfigError(f"config {config_path} must be a JSON object")
         cfg = _merge(cfg, raw)
+        if not isinstance(cfg["graph"], (str, type(None))):
+            raise ConfigError("config key 'graph' must be a string or null")
         config_dir = path.parent
     return cfg, config_dir
 
@@ -135,8 +135,21 @@ def _build(cfg: dict, section: str, cls):
         raise ConfigError(f"invalid {section} config: {err}") from err
 
 
-def _lock_params(cfg: dict) -> tuple[float, int]:
-    return cfg["lock"]["threshold"], cfg["lock"]["hold_samples"]
+def _config(args, command_overrides: dict | None = None) -> tuple[dict, Path | None]:
+    """The effective config of a run command and its directory, with
+    ``--seed`` as the integrator seed."""
+    cfg, config_dir = load_effective_config(args.config, command_overrides)
+    if args.seed is not None:
+        cfg["integrator"]["seed"] = args.seed
+    return cfg, config_dir
+
+
+def _run_settings(cfg: dict, args) -> tuple[DynamicsConfig, IntegratorConfig, dict]:
+    """The dynamics and integrator configs of ``cfg``, and the ``threshold``,
+    ``hold_samples`` and ``threads`` keywords of a driver call."""
+    return (_build(cfg, "dynamics", DynamicsConfig), _build(cfg, "integrator", IntegratorConfig),
+            {"threshold": cfg["lock"]["threshold"], "hold_samples": cfg["lock"]["hold_samples"],
+             "threads": args.threads})
 
 
 def _load_graph_file(path: str | Path) -> MaxCutInstance:
@@ -209,7 +222,10 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", default=None,
                         help="JSON run configuration (default: built-in defaults)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the base integrator seed (default: from config)")
+                        help="override the base integrator seed: solve attempt k runs with "
+                             "seed + k; sweep and compare seed each run from their config's "
+                             "seeds, so there it changes only the echoed config "
+                             "(default: from config)")
     parser.add_argument("--threads", type=_threads, default=1,
                         help="worker threads, 0 = auto")
     parser.add_argument("--quiet", action="store_true",
@@ -270,21 +286,14 @@ def cmd_solve(args) -> int:
     if args.attempts is not None and args.attempts < 1:
         print("oimsim solve: error: --attempts must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    cfg, _ = load_effective_config(args.config, _SOLVE_OVERRIDES)
+    cfg, _ = _config(args, _SOLVE_OVERRIDES)
     if args.attempts is not None:
         cfg["solve"]["attempts"] = args.attempts
-    if args.seed is not None:
-        cfg["integrator"]["seed"] = args.seed
     cfg["graph"] = str(args.graph)
     g = _load_graph_file(args.graph)
-    dyn = _build(cfg, "dynamics", DynamicsConfig)
-    icfg = _build(cfg, "integrator", IntegratorConfig)
-    threshold, hold = _lock_params(cfg)
+    dyn, icfg, settings = _run_settings(cfg, args)
     try:
-        result = solve(
-            g, cfg["solve"]["attempts"], dyn, icfg,
-            threshold=threshold, hold_samples=hold, threads=args.threads,
-        )
+        result = solve(g, cfg["solve"]["attempts"], dyn, icfg, **settings)
     except DivergenceError as err:
         print(f"oimsim solve: all attempts diverged: {err}", file=sys.stderr)
         return EXIT_SOLVER
@@ -314,21 +323,18 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, config_dir = load_effective_config(args.config)
-    if args.seed is not None:
-        cfg["integrator"]["seed"] = args.seed
+    cfg, config_dir = _config(args)
     g = _resolve_config_graph(cfg, config_dir)
+    dyn, icfg, settings = _run_settings(cfg, args)
     spec = SweepSpec(
         parameter=cfg["sweep"]["parameter"],
         values=tuple(cfg["sweep"]["values"]),
         seeds=tuple(cfg["sweep"]["seeds"]),
-        base_dynamics=_build(cfg, "dynamics", DynamicsConfig),
-        base_integrator=_build(cfg, "integrator", IntegratorConfig),
+        base_dynamics=dyn,
+        base_integrator=icfg,
         graph=g,
     )
-    threshold, hold = _lock_params(cfg)
-    rows = run_sweep(spec, threshold=threshold, hold_samples=hold,
-                     threads=args.threads)
+    rows = run_sweep(spec, **settings)
     echo = _slice_config(cfg, "dynamics", "integrator", "lock", "sweep")
     text = sweep_to_csv(spec.parameter, rows,
                         config_comment=json.dumps(echo, sort_keys=True))
@@ -338,20 +344,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg, config_dir = load_effective_config(args.config)
-    if args.seed is not None:
-        cfg["integrator"]["seed"] = args.seed
+    cfg, config_dir = _config(args)
     g = _resolve_config_graph(cfg, config_dir)
-    threshold, hold = _lock_params(cfg)
-    summary = compare_modes(
-        g,
-        _build(cfg, "dynamics", DynamicsConfig),
-        _build(cfg, "integrator", IntegratorConfig),
-        seeds=cfg["compare"]["seeds"],
-        threshold=threshold,
-        hold_samples=hold,
-        threads=args.threads,
-    )
+    dyn, icfg, settings = _run_settings(cfg, args)
+    summary = compare_modes(g, dyn, icfg, seeds=cfg["compare"]["seeds"], **settings)
     doc = dataclasses.asdict(summary)
     doc["config"] = _slice_config(cfg, "dynamics", "integrator", "lock", "compare")
     _atomic_write(Path(args.out), json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from importlib import resources
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,27 +20,25 @@ import numpy as np
 from .dynamics import DynamicsConfig, Mode, PhaseState
 from .errors import DivergenceError, check_int, check_real
 from .integrate import IntegratorConfig, initial_phases, integrate
-from .ising import IsingInstance, MaxCutInstance, SpinAssignment, ising_from_maxcut
+from .ising import IsingInstance, MaxCutInstance, SpinAssignment, ising_from_maxcut, parse_graph
 from .metrics import (LOCK_HOLD_SAMPLES, LOCK_THRESHOLD, _circular_stats, _lock_report,
                       _order_parameters, check_lock_params, score_trajectory)
+
+
+def data_path(name: str) -> Path:
+    """Filesystem path of a bundled data file (graphs, reference configs)."""
+    return Path(resources.files("oimsim") / "data" / name)
+
 
 # Fixed bipartition behind the 10-oscillator reference instance.  Cross-pair
 # edges carry weight +1 and within-group edges -1, so the locked two-cluster
 # phase pattern and the optimum cut coincide with this partition.  A generic
 # random +-1 instance would be frustrated and its phase minima splayed, which
 # makes "time to full phase order" ill-defined.
-REFERENCE_PARTITION = (-1, 1, 1, -1, -1, 1, -1, 1, -1, -1)
-
-
 def reference_graph() -> MaxCutInstance:
-    """The complete 10-vertex +-1 reference instance used by the bundled studies."""
-    eps = REFERENCE_PARTITION
-    n = len(eps)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((i, j, -1.0 * eps[i] * eps[j]))
-    return MaxCutInstance(n=n, edges=tuple(edges))
+    """The complete 10-vertex +-1 reference instance used by the bundled
+    studies: the bundled ``reference10.graph``."""
+    return parse_graph(data_path("reference10.graph").read_text())
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +128,10 @@ def _run_once(
     dyn: DynamicsConfig,
     icfg: IntegratorConfig,
     init: PhaseState,
-    seed: int,
     threshold: float,
     hold_samples: int,
 ) -> _Run:
-    """Integrate one seeded run from init, then detect locking and read it out.
+    """Integrate one run, seeded by icfg, from init, then detect locking and read it out.
 
     Only the reported observables are computed: R of every sample for the
     lock window, and the lock error of the final sample.  The kernels work
@@ -141,7 +140,7 @@ def _run_once(
     """
     dyn.freqs_for(inst.n)  # a natural_freqs length fault is raised before integrating
     try:
-        traj = integrate(inst, dyn, replace(icfg, seed=seed), init)
+        traj = integrate(inst, dyn, icfg, init)
     except DivergenceError as err:
         return _Run(error=err)
     r = _order_parameters(traj.states)
@@ -167,11 +166,16 @@ def _runs(graph: MaxCutInstance, icfg: IntegratorConfig, jobs: Sequence[tuple[Dy
     check_lock_params(threshold, hold_samples, icfg.n_samples)
     inst = ising_from_maxcut(graph)
     inits = {seed: initial_phases(inst.n, seed) for seed in dict.fromkeys(s for _, s in jobs)}
-    items = [(inst, graph, dyn, icfg, inits[s], s, threshold, hold_samples) for dyn, s in jobs]
-    if threads <= 1 or len(items) <= 1:
-        return [_run_once(*args) for args in items]
+
+    def run(job: tuple[DynamicsConfig, int]) -> _Run:
+        dyn, seed = job
+        return _run_once(inst, graph, dyn, replace(icfg, seed=seed), inits[seed],
+                         threshold, hold_samples)
+
+    if threads <= 1 or len(jobs) <= 1:
+        return [run(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_once, *zip(*items)))
+        return list(pool.map(run, jobs))
 
 
 def run_sweep(

@@ -14,7 +14,7 @@ import io
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Literal, TextIO
+from typing import Iterable, Iterator, Literal, TextIO
 
 import numpy as np
 
@@ -599,45 +599,54 @@ def parse_graph(source: str | TextIO | Iterable[str]) -> MaxCutInstance:
     syntax faults first, then the first edge that breaks a MaxCutInstance
     edge rule, with its vertices numbered from 1.
 
-    Text given as a string is read first by numpy's C reader (``_read_graph``);
-    whatever that read cannot take as a valid graph, and every other source,
+    The header is read once (``_read_header``), whatever the source.  The
+    edge lines of a string are read first by numpy's C reader (``_read_graph``);
+    whatever that read cannot take as a valid graph, and every other body,
     goes to the line-by-line scan (``_scan_graph``), which alone raises, so
     both give the same graph or the same error.
     """
-    if isinstance(source, str):
-        graph = _read_graph(source)
+    text = isinstance(source, str)
+    lines = io.StringIO(source) if text else iter(source)    # a string's lines end at "\n"
+    n, m, header_line = _read_header(lines)
+    if text and m >= 1:
+        body = lines.tell()
+        graph = _read_graph(lines, n, m)
         if graph is not None:
             return graph
-        source = io.StringIO(source)
-    return _scan_graph(source)
+        lines.seek(body)
+    return _scan_graph(lines, n, m, header_line)
+
+
+def _read_header(lines: Iterator[str]) -> tuple[int, int, int]:
+    """n, m and the line number of the header ``n m``, the first line of
+    ``lines`` neither blank nor a comment; ``lines`` is left at the line
+    after it.  Raises GraphParseError when there is none or it is malformed."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError("expected header 'n m'", lineno)
+        try:
+            n, m = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError("header entries must be integers", lineno) from None
+        if n < 1 or m < 0:
+            raise GraphParseError(f"invalid header values n={n} m={m}", lineno)
+        return n, m, lineno
+    raise GraphParseError("empty input, expected header 'n m'", 1)
 
 
 _EDGE_ROW = np.dtype([("i", "i8"), ("j", "i8"), ("w", "f8")])
 
 
-def _read_graph(text: str) -> MaxCutInstance | None:
-    """The graph of ``text`` read by ``np.loadtxt``, or None when the scan
-    must decide: a header it does not take, no edges, a comment line or a
-    field that is not an int64 or a float64 after the header, a row count
-    other than m, or an edge that breaks an edge rule.  The reader reads on
-    from the line after the header; a lone "\r", which it would take for a
-    line end, it refuses."""
-    body = io.StringIO(text)    # lines end at "\n" as in the scan
-    for line in body:           # the header: the first line neither blank nor a comment
-        header = line.strip()
-        if header and not header.startswith("#"):
-            break
-    else:
-        return None
-    parts = header.split()
-    if len(parts) != 2:
-        return None
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        return None
-    if n < 1 or m < 1:
-        return None
+def _read_graph(body: TextIO, n: int, m: int) -> MaxCutInstance | None:
+    """The graph of n vertices whose m >= 1 edge lines ``body`` holds from
+    its position on, read by ``np.loadtxt``, or None when the scan must
+    decide: a comment line or a field that is not an int64 or a float64, a
+    row count other than m, or an edge that breaks an edge rule.  A lone
+    "\r", which the reader would take for a line end, it refuses."""
     try:
         # a warning ends the read too: "input contained no data" for a body
         # without rows, and the DeprecationWarning of the numpy versions that
@@ -657,25 +666,16 @@ def _read_graph(text: str) -> MaxCutInstance | None:
         return None
 
 
-def _scan_graph(source: TextIO | Iterable[str]) -> MaxCutInstance:
-    """``parse_graph`` line by line in Python: the reference that raises."""
+def _scan_graph(lines: Iterable[str], n: int, m: int, lineno: int) -> MaxCutInstance:
+    """The graph of n vertices and the m edge lines of ``lines``, the body
+    after a header on line ``lineno``, read line by line in Python: the
+    reference that raises."""
     edges, linenos = [], []
-    n, m = 0, None
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if m is None:
-            if len(parts) != 2:
-                raise GraphParseError("expected header 'n m'", lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError("header entries must be integers", lineno) from None
-            if n < 1 or m < 0:
-                raise GraphParseError(f"invalid header values n={n} m={m}", lineno)
-            continue
         if len(edges) >= m:
             raise GraphParseError(f"more than {m} edge lines", lineno)
         if len(parts) != 3:
@@ -685,8 +685,6 @@ def _scan_graph(source: TextIO | Iterable[str]) -> MaxCutInstance:
         except ValueError:
             raise GraphParseError("edge entries must be 'int int real'", lineno) from None
         linenos.append(lineno)
-    if m is None:
-        raise GraphParseError("empty input, expected header 'n m'", 1)
     if len(edges) != m:
         raise GraphParseError(f"header promised {m} edges, found {len(edges)}", lineno)
     try:

@@ -371,8 +371,14 @@ class TestConfigHandling:
         ("solve", {}, ["--seed", "-1"], "integrator.seed must be >= 0"),
         ("sweep", {"sweep": {"seeds": [-2]}}, [], "sweep.seeds must be >= 0"),
         ("compare", {"compare": {"seeds": [*range(9), -2]}}, [], "compare.seeds must be >= 0"),
+        ("sweep", {"sweep": {"values": 5}}, [], "config key 'sweep.values' must be an array"),
+        ("sweep", {"sweep": {"seeds": 3}}, [], "config key 'sweep.seeds' must be an array"),
+        ("sweep", {"sweep": {"values": None}}, [], "config key 'sweep.values' must be an array"),
+        ("sweep", {"graph": 5}, [], "config key 'graph' must be a string or null"),
+        ("compare", {"compare": {"seeds": 7}}, [], "config key 'compare.seeds' must be an array"),
     ], ids=["freqs-bool", "freqs-str", "freqs-length", "seed-flag", "sweep-seeds",
-            "compare-seeds"])
+            "compare-seeds", "sweep-values-number", "sweep-seeds-number", "sweep-values-null",
+            "graph-number", "compare-seeds-number"])
     def test_config_faults_name_their_key(
         self, tmp_path, monkeypatch, capsys, command, doc, flags, message
     ):

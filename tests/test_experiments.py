@@ -348,7 +348,9 @@ class TestRunObservables:
         random_instance(600, 0.06, "pm1", seed=2),
     ], ids=["reference10-dense", "random600-sparse"])
     @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["rk4", "em"])
-    @pytest.mark.parametrize("mode", [Mode.DISTRIBUTED, Mode.CENTRALIZED])
+    # the readout anchor is the injection phase in the injected modes, and
+    # half the mean direction of the doubled phases in COUPLED_ONLY
+    @pytest.mark.parametrize("mode", [Mode.DISTRIBUTED, Mode.CENTRALIZED, Mode.COUPLED_ONLY])
     def test_run_once_matches_public_pipeline(self, graph, noise, mode):
         inst = ising_from_maxcut(graph)
         dyn = DynamicsConfig(mode=mode, noise_amplitude=noise)
@@ -357,7 +359,7 @@ class TestRunObservables:
         # a low threshold, so that the sparse runs, still disordered at
         # t = 10, cross it too
         threshold, hold = 0.2, 10
-        run = _run_once(inst, graph, dyn, icfg, init, 4, threshold, hold)
+        run = _run_once(inst, graph, dyn, icfg, init, threshold, hold)
         traj = integrate(inst, dyn, icfg, init)
         traces = compute_traces(traj, inst, dyn)
         report = lock_time(traces, traj.times, threshold, hold)
@@ -391,8 +393,8 @@ class TestDivergedRuns:
         g = reference_graph()
         inst = ising_from_maxcut(g)
         diverge_for({3})
-        run = _run_once(inst, g, DynamicsConfig(), short_integrator(), initial_phases(inst.n, 3),
-                        3, 0.9, 10)
+        run = _run_once(inst, g, DynamicsConfig(), replace(short_integrator(), seed=3),
+                        initial_phases(inst.n, 3), 0.9, 10)
         assert run.error.step == 3
         assert (run.lock_time, run.locked, run.spins) == (None, False, None)
         assert all(math.isnan(v) for v in (run.final_R, run.final_error, run.energy, run.cut))

@@ -962,6 +962,30 @@ def edge_bits(g: MaxCutInstance) -> list:
     return [i.tolist(), j.tolist(), float_bits(w).tolist()]
 
 
+def scanned(text: str) -> MaxCutInstance:
+    """``_scan_graph`` of the body of ``text``, after its header."""
+    lines = io.StringIO(text)
+    return ising._scan_graph(lines, *ising._read_header(lines))
+
+
+def read(text: str) -> MaxCutInstance | None:
+    """``_read_graph`` of the body of ``text``, or None where ``parse_graph``
+    does not call it: a header fault, or no edges."""
+    body = io.StringIO(text)
+    try:
+        n, m, _ = ising._read_header(body)
+    except GraphParseError:
+        return None
+    return ising._read_graph(body, n, m) if m >= 1 else None
+
+
+def sources(text: str) -> list:
+    r"""``text`` as each kind of source ``parse_graph`` takes: the string, a
+    file object, and a list of its lines split at "\n" as a file object splits
+    them (``str.splitlines`` would also end a line at a lone "\r")."""
+    return [text, io.StringIO(text), io.StringIO(text).readlines()]
+
+
 REJECTED_TEXTS = [
     ("3 1\n1 2 1 # x\n", 2, "expected edge line 'i j w'"),
     ("3 1\n1.0 2 1\n", 2, "edge entries must be 'int int real'"),
@@ -995,38 +1019,40 @@ class TestGraphReader:
     @given(case=edge_list_texts())
     def test_reader_and_scan_give_the_same_arrays(self, case):
         text, body_comments = case
-        scanned = ising._scan_graph(io.StringIO(text))
-        read = ising._read_graph(text)
+        scan = scanned(text)
+        fast = read(text)
         # only an edgeless graph or a comment line after the header needs the scan
-        assert (read is None) == (body_comments or not scanned.edge_arrays()[0].size)
-        for g in (read, parse_graph(text)):
+        assert (fast is None) == (body_comments or not scan.edge_arrays()[0].size)
+        for g in (fast, parse_graph(text)):
             if g is not None:
-                assert g.n == scanned.n
-                assert edge_bits(g) == edge_bits(scanned)
+                assert g.n == scan.n
+                assert edge_bits(g) == edge_bits(scan)
 
     @pytest.mark.parametrize("text, line, message", REJECTED_TEXTS)
     def test_rejected_text_keeps_its_message_and_line(self, text, line, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ising._read_graph(text) is None
-            with pytest.raises(GraphParseError) as err:
-                parse_graph(text)
-        assert str(err.value) == f"line {line}: {message}"
-        assert err.value.line == line
+            assert read(text) is None
+            for source in sources(text):
+                with pytest.raises(GraphParseError) as err:
+                    parse_graph(source)
+                assert str(err.value) == f"line {line}: {message}"
+                assert err.value.line == line
 
     @pytest.mark.parametrize("text", ["3 0\n", "3 0\n\n# a comment\n", "# c\n3 0"])
     def test_edgeless_graph_is_scanned_without_a_warning(self, text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ising._read_graph(text) is None
-            g = parse_graph(text)
-        assert g.n == 3 and g.edges == ()
+            assert read(text) is None
+            for source in sources(text):
+                g = parse_graph(source)
+                assert g.n == 3 and g.edges == ()
 
     def test_reader_parses_the_benchmark_graph(self):
         text = serialize_graph(BENCHMARK_GRAPH)
-        read = ising._read_graph(text)
-        assert read is not None
-        assert edge_bits(read) == edge_bits(ising._scan_graph(io.StringIO(text)))
+        fast = read(text)
+        assert fast is not None
+        assert edge_bits(fast) == edge_bits(scanned(text))
 
 
 class TestRandomInstance:
