@@ -18,20 +18,35 @@ many calls.  ``calls`` records how many calls each time rests on;
 assignments per second divide the enumerated count by the median.  After
 the timed calls, the oracle runs once more under ``tracemalloc``:
 ``peak_mib`` is the peak traced memory of that call, the instance built
-before tracing starts.  The table goes to standard output,
-and ``BENCH_oracle_<commit>.json`` at the root of the checkout records it.
+before tracing starts.
+
+Beside the bare oracle, ``cli_ms`` times the whole command on the same
+graph: a warm in-process ``oimsim.cli.main(["oracle", path, "--quiet"])``,
+with the graph written to a temporary file and the JSON answer sent to
+``os.devnull``.  The command line poses no field, so only the rows without
+one carry it; it is null in the others.  ``parser_ms`` is the time of one
+``cli.build_parser()`` call, the set-up that ``main`` pays once per
+process.  The table goes to standard output, and
+``BENCH_oracle_<commit>.json`` at the root of the checkout records it.
 """
 from __future__ import annotations
+
+import contextlib
+import os
+import tempfile
+from pathlib import Path
 
 from harness import bracketed, time_calls, traced_mib, write_result
 
 import numpy as np
 
+from oimsim import cli
 from oimsim.ising import (
     IsingInstance,
     brute_force_ground_state,
     ising_from_maxcut,
     random_instance,
+    serialize_graph,
 )
 
 SIZES = (20, 22, 24)
@@ -40,9 +55,28 @@ BLOCK_S = 0.05
 SEED = 0
 
 
-def measure(n: int, with_field: bool, inst: IsingInstance) -> dict:
-    """The row of one instance: the oracle's time and traced memory, and the
-    ground state it finds."""
+def command(path: Path | None) -> dict:
+    """The time of the ``oracle`` command on the graph file ``path``, or
+    nulls without one."""
+    if path is None:
+        return {"cli_calls": None, "cli_ms": None, "cli_ms_min": None}
+    argv = ["oracle", str(path), "--quiet"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        timing = time_calls(lambda: cli.main(argv), BLOCK_S, BLOCKS)
+    if timing.result != 0:
+        raise SystemExit(f"oimsim {' '.join(argv)} exited {timing.result}")
+    return {"cli_calls": timing.calls, **timing.fields("cli_ms", 1e3)}
+
+
+def build() -> dict:
+    """The time of one ``cli.build_parser()`` call."""
+    timing = time_calls(cli.build_parser, BLOCK_S, BLOCKS)
+    return {"calls": timing.calls, **timing.fields("parser_ms", 1e3)}
+
+
+def measure(n: int, with_field: bool, inst: IsingInstance, path: Path | None) -> dict:
+    """The row of one instance: the oracle's time and traced memory, the
+    ground state it finds, and the command's time on the graph file ``path``."""
     assignments = 2 ** (n if with_field else n - 1)
     timing = time_calls(lambda: brute_force_ground_state(inst), BLOCK_S, BLOCKS)
     _, energy, degeneracy = timing.result
@@ -50,27 +84,34 @@ def measure(n: int, with_field: bool, inst: IsingInstance) -> dict:
             **timing.fields("cpu_ms", 1e3),
             "assignments_per_s": assignments / timing.median_s,
             "peak_mib": traced_mib(lambda: brute_force_ground_state(inst))[0],
-            "energy": energy, "degeneracy": degeneracy}
+            "energy": energy, "degeneracy": degeneracy, **command(path)}
 
 
 def main() -> int:
+    parser = bracketed(build)
+    print(f"build_parser: {parser['parser_ms']:.3f} ms")
     cells = []
-    print(f"{'n':>3} {'field':>6} {'assignments':>12} {'cpu_ms':>9} {'per_s':>10} "
+    print(f"{'n':>3} {'field':>6} {'assignments':>12} {'cpu_ms':>9} {'cli_ms':>9} {'per_s':>10} "
           f"{'peak_MiB':>9} {'kernel_ms':>10}")
-    for n in SIZES:
-        couplings = ising_from_maxcut(random_instance(n, 0.5, "pm1", seed=SEED)).couplings
-        for with_field in (False, True):
-            field = np.random.default_rng(SEED).choice([-1.0, 1.0], n) if with_field else None
-            inst = IsingInstance(n=n, couplings=couplings, field=field)
-            cell = bracketed(lambda: measure(n, with_field, inst))
-            cells.append(cell)
-            print(f"{n:>3} {str(with_field):>6} {cell['assignments']:>12} {cell['cpu_ms']:>9.1f} "
-                  f"{cell['assignments_per_s']:>10.3g} {cell['peak_mib']:>9.2f} "
-                  f"{cell['kernel_ms']:>10.1f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in SIZES:
+            g = random_instance(n, 0.5, "pm1", seed=SEED)
+            path = Path(tmp) / f"n{n}.graph"
+            path.write_text(serialize_graph(g))
+            couplings = ising_from_maxcut(g).couplings
+            for with_field in (False, True):
+                field = np.random.default_rng(SEED).choice([-1.0, 1.0], n) if with_field else None
+                inst = IsingInstance(n=n, couplings=couplings, field=field)
+                cell = bracketed(lambda: measure(n, with_field, inst,
+                                                 None if with_field else path))
+                cells.append(cell)
+                cli_ms = "-" if cell["cli_ms"] is None else f"{cell['cli_ms']:.2f}"
+                print(f"{n:>3} {str(with_field):>6} {cell['assignments']:>12} "
+                      f"{cell['cpu_ms']:>9.2f} {cli_ms:>9} {cell['assignments_per_s']:>10.3g} "
+                      f"{cell['peak_mib']:>9.2f} {cell['kernel_ms']:>10.1f}")
     write_result("BENCH_oracle", {"blocks": BLOCKS, "block_s": BLOCK_S, "seed": SEED,
-                                  "cells": cells})
+                                  "parser": parser, "cells": cells})
     return 0
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

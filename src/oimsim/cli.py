@@ -11,6 +11,7 @@ import argparse
 import copy
 import dataclasses
 import enum
+import functools
 import json
 import os
 import sys
@@ -208,9 +209,21 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """argparse's default after each flag's help, except where the default is
+    None: such a flag takes its value from elsewhere, and its help says where."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on bad usage; we reserve 2 for input
-    parse errors and use 64 for usage problems."""
+    parse errors and use 64 for usage problems.  Its sub-command parsers are
+    ``_Parser`` too, and every one formats help with ``_HelpFormatter``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -218,54 +231,55 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", default=None,
-                        help="JSON run configuration (default: built-in defaults)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the base integrator seed: solve attempt k runs with "
-                             "seed + k; sweep and compare seed each run from their config's "
-                             "seeds, so there it changes only the echoed config "
-                             "(default: from config)")
+_UNUSED = "taken by every run command; oracle has no use for it"
+
+
+def _run_flags(parser: argparse.ArgumentParser, reads_config: bool = True) -> None:
+    """``--config`` and ``--seed`` where the command reads a config, then
+    ``--threads`` and ``--quiet``, which ``oracle`` takes and ignores."""
+    if reads_config:
+        parser.add_argument("--config", metavar="PATH", default=None,
+                            help="JSON run configuration (default: built-in defaults)")
+        parser.add_argument("--seed", type=int, default=None,
+                            help="override the base integrator seed: solve attempt k runs with "
+                                 "seed + k; sweep and compare seed each run from their config's "
+                                 "seeds, so there it changes only the echoed config "
+                                 "(default: from config)")
     parser.add_argument("--threads", type=_threads, default=1,
-                        help="worker threads, 0 = auto")
+                        help="worker threads, 0 = auto" if reads_config else _UNUSED)
     parser.add_argument("--quiet", action="store_true",
-                        help="suppress informational messages on stderr")
+                        help="suppress informational messages on stderr" if reads_config
+                        else _UNUSED)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="oimsim",
         description="Phase-domain oscillator Ising machine simulator and max-cut solver.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve a max-cut instance",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("solve", help="solve a max-cut instance")
     p.add_argument("graph", help="edge-list graph file")
     p.add_argument("--attempts", type=int, default=None,
                    help="seeded attempts to take the best of (default: 20)")
-    _common_flags(p)
+    _run_flags(p)
 
-    p = sub.add_parser("oracle", help="exact brute-force answer for small instances",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("oracle", help="exact brute-force answer for small instances")
     p.add_argument("graph", help="edge-list graph file")
-    _common_flags(p)
+    _run_flags(p, reads_config=False)
 
-    p = sub.add_parser("sweep", help="run a parameter sweep, write CSV",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("sweep", help="run a parameter sweep, write CSV")
     p.add_argument("config", help="JSON sweep configuration")
     p.add_argument("out", help="output CSV path")
-    _common_flags(p)
+    _run_flags(p)
 
-    p = sub.add_parser("compare", help="paired distributed vs centralized study, write JSON",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("compare", help="paired distributed vs centralized study, write JSON")
     p.add_argument("config", help="JSON comparison configuration")
     p.add_argument("out", help="output JSON path")
-    _common_flags(p)
+    _run_flags(p)
 
-    p = sub.add_parser("gen", help="generate a seeded random instance",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("gen", help="generate a seeded random instance")
     p.add_argument("out", help="output graph path")
     p.add_argument("--n", type=int, default=10, help="vertex count")
     p.add_argument("--density", type=float, default=1.0, help="edge probability in (0, 1]")
@@ -377,10 +391,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in a process, built on the first.
+    Parsing leaves it as built, and it writes usage and help to
+    ``sys.stdout``/``sys.stderr`` as they stand at each call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_OK
     try:

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -139,6 +140,25 @@ class TestOracleCommand:
         assert cli.main(["oracle", str(path)]) == 4
         assert capsys.readouterr().err == (
             "oimsim oracle: error: brute force capped at n=24, got n=6000\n")
+
+    @pytest.mark.parametrize("flags", [["--config", "/nonexistent.json", "--seed", "3"],
+                                       ["--config", "/nonexistent.json"], ["--seed", "3"]],
+                             ids=["both", "config", "seed"])
+    def test_refuses_flags_it_never_reads(self, capsys, flags):
+        from oimsim import cli
+
+        assert cli.main(["oracle", str(TRIANGLE), *flags]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"oimsim: error: unrecognized arguments: {' '.join(flags)}\n")
+
+    def test_takes_threads_and_quiet(self, capsys):
+        from oimsim import cli
+
+        assert cli.main(["oracle", str(TRIANGLE)]) == 0
+        plain = capsys.readouterr()
+        assert cli.main(["oracle", str(TRIANGLE), "--threads", "4", "--quiet"]) == 0
+        assert capsys.readouterr() == plain
 
 
 class TestGenCommand:
@@ -471,9 +491,26 @@ class TestHelp:
         proc = run_cli(cmd, "--help")
         assert proc.returncode == 0
         assert "--help" in proc.stdout
-        if cmd != "gen":
+        if cmd == "oracle":
+            for flag in ("--threads", "--quiet"):
+                assert flag in proc.stdout
+        elif cmd != "gen":
             for flag in ("--config", "--seed", "--threads", "--quiet"):
                 assert flag in proc.stdout
+
+    @pytest.mark.parametrize("cmd", ["solve", "oracle", "sweep", "compare", "gen"])
+    def test_help_states_each_default_once(self, cmd):
+        proc = run_cli(cmd, "--help")
+        assert proc.returncode == 0
+        flat = " ".join(proc.stdout.split())
+        assert "(default: None)" not in flat
+        if cmd == "gen":
+            assert "--n N vertex count (default: 10)" in flat
+        else:
+            assert re.search(r"--threads THREADS [^-]*\(default: 1\)", flat)
+        if cmd in ("solve", "sweep", "compare"):
+            assert flat.count("(default: built-in defaults)") == 1
+            assert flat.count("(default: from config)") == 1
 
     def test_top_level_help(self):
         proc = run_cli("--help")
@@ -484,3 +521,47 @@ class TestHelp:
     def test_unknown_command_is_usage_error(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 64
+
+
+class TestParserReuse:
+    """One process's ``main`` calls share one parser: no call sees another's flags."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from oimsim import cli
+
+        calls = []
+        real = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch, builds):
+        from oimsim import cli
+
+        monkeypatch.setenv("COLUMNS", "80")     # help wraps alike in both
+        sweep_cfg = write_tiny_sweep_config(tmp_path / "sweep.json")
+        steps = [
+            (["solve", str(TRIANGLE), "--attempts", "2", "--seed", "5"], 0),
+            (["solve", str(TRIANGLE)], 0),
+            (["oracle", str(TRIANGLE), "--seed", "3"], 64),
+            (["oracle", str(TRIANGLE)], 0),
+            (["sweep", "--help"], 0),
+            (["sweep", str(sweep_cfg), "{out}", "--quiet"], 0),
+        ]
+        for k, (argv, code) in enumerate(steps):
+            here, fresh = tmp_path / f"here{k}.csv", tmp_path / f"fresh{k}.csv"
+            assert cli.main([a.format(out=here) for a in argv]) == code
+            out, err = capsys.readouterr()
+            proc = run_cli(*(a.format(out=fresh) for a in argv))
+            assert proc.returncode == code
+            assert (out, err) == (proc.stdout, proc.stderr), argv
+            if "{out}" in argv:
+                assert here.read_bytes() == fresh.read_bytes()
+        assert len(builds) == 1
