@@ -234,9 +234,21 @@ class _Parser(argparse.ArgumentParser):
 _UNUSED = "taken by every run command; oracle has no use for it"
 
 
+class _Refused(argparse.Action):
+    """A run command's flag that ``oracle`` never reads: a usage error of the
+    ``oracle`` parser, wherever it stands on the command line."""
+
+    def __init__(self, **kwargs):
+        super().__init__(nargs="?", help=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} is not an oracle option: oracle reads no config and no seed")
+
+
 def _run_flags(parser: argparse.ArgumentParser, reads_config: bool = True) -> None:
-    """``--config`` and ``--seed`` where the command reads a config, then
-    ``--threads`` and ``--quiet``, which ``oracle`` takes and ignores."""
+    """``--config`` and ``--seed`` where the command reads a config, hidden
+    and refused where it does not, then ``--threads`` and ``--quiet``, which
+    ``oracle`` takes and ignores."""
     if reads_config:
         parser.add_argument("--config", metavar="PATH", default=None,
                             help="JSON run configuration (default: built-in defaults)")
@@ -245,6 +257,9 @@ def _run_flags(parser: argparse.ArgumentParser, reads_config: bool = True) -> No
                                  "seed + k; sweep and compare seed each run from their config's "
                                  "seeds, so there it changes only the echoed config "
                                  "(default: from config)")
+    else:
+        parser.add_argument("--config", action=_Refused)
+        parser.add_argument("--seed", action=_Refused)
     parser.add_argument("--threads", type=_threads, default=1,
                         help="worker threads, 0 = auto" if reads_config else _UNUSED)
     parser.add_argument("--quiet", action="store_true",

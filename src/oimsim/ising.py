@@ -467,10 +467,8 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
     are built by sign-flip doubling, with no spin rows stored: the indices
     ``[m, 2m)``, ``m = 2^b``, are the indices ``[0, m)`` with V-spin b
     flipped from +1 to -1.  The energies e_V of all V-assignments under
-    (J_VV, h_V) are built once: flipping spin b raises the energy by twice
-    its local field, itself a doubling over ``J_VV[b, :b]`` offset by
-    ``sum(J_VV[b, b+1:]) + h_V[b]``.  Chunk c's energies are
-    ``e_V - r(u_c) + K_c``: ``r`` is the doubling vector of
+    (J_VV, h_V) are built once, by ``_local_energies``.  Chunk c's energies
+    are ``e_V - r(u_c) + K_c``: ``r`` is the doubling vector of
     ``u_c = J_VC s_C`` (``r[0] = sum(u)``, ``r[m:2m] = r[:m] - 2 u_b``) and
     ``K_c = -s_C.J_CC.s_C / 2 - h_C.s_C``, all 2^H of them from one product.
 
@@ -478,22 +476,39 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
     step flips one C spin j and changes ``d = e_V - r(u_c)``, held in one
     buffer, by ``+2 R_j`` (j to -1) or ``-2 R_j`` (j back to +1), where
     ``R_j``, stored for each of the H walked spins, is the doubling vector
-    of column j of J_VC.  A chunk costs one in-place add and one min; its
-    walked minimum is ``d.min() + K_c``.  With integer weights every walked
-    value is exact.  With real weights a walked energy drifts from the one
-    pass 2 computes for the same assignment by at most
-    ``delta = (2^H + 8 n) * eps * bound``, ``eps = 2^-52``: both share e_V
-    and K_c, and differ only by the rounding of u_c (|C| terms), of r(u_c)
-    and of each R_j (2 |V| operations apiece; each R_j enters the walked
-    sum with net weight 0 or 1), of the 2^H - 1 step adds and of the add
-    of K_c, each below ``eps / 2`` times a value below ``bound / 2``.  So
-    every assignment within ``atol`` of the minimum lies in a chunk whose
-    walked minimum is within ``atol + 2 delta`` of the walked best: those
-    chunks are the candidates.
+    of column j of J_VC.  The walk only chooses the chunks that pass 2
+    recomputes, so it runs in float32 on values scaled by ``2^-e``,
+    ``e = frexp(bound)[1]`` (0 for a zero bound), which puts every walked
+    magnitude below 1/2: chunk 0's ``d`` is computed in float64, scaled and
+    cast, and the table of ``2 R_j 2^-e`` is built by ``_signed_sums`` in
+    float32 from the scaled and cast columns.  A chunk costs one in-place
+    add and one min; its walked minimum is ``2^e d.min() + K_c``.  Walked
+    values are exact when the weights are integers and ``bound < 2^25``.
+    In general a walked energy drifts from the one pass 2 computes for the
+    same assignment by at most
+    ``delta = (2^H + 8 n) eps bound + (2^H + 3 |V| H + 1) (eps32 / 2) bound``,
+    ``eps = 2^-52``, ``eps32 = 2^-23``.  Both share e_V and K_c.  The first
+    term covers the float64 roundings: of u_0 and u_c (|C| terms each), of
+    r(u_0) and r(u_c) (2 |V| operations each) and of the add of K_c, each
+    below ``eps / 2`` times a value below ``bound / 2``.  The second covers
+    the float32 roundings: the cast of chunk 0's ``d``, the cast of each
+    R_j's |V| terms and its doubling (2 |V| operations; each R_j enters the
+    walked sum with net weight 0 or 1, so at most H of them count) and the
+    2^H - 1 step adds.  A float32 rounding of a scaled value x errs by at
+    most ``2^-24 |x| + 2^-150``, the second term for subnormal results; with
+    ``|x| < 2^-e bound / 2`` and ``2^(e-1) <= bound`` that is below
+    ``(2^-25 + 2^-149) bound < (eps32 / 2) bound`` unscaled.  Scaling by
+    ``2^-e`` in float64 loses at most 2^-1075 to float64 subnormals, inside
+    that slack; scaling back by ``2^e`` is exact unless ``bound < 2^-874``,
+    and then every value lies within ``atol`` of every other and every chunk
+    is a candidate anyway.  So every assignment within ``atol`` of the
+    minimum lies in a chunk whose walked minimum is within
+    ``atol + 2 delta`` of the walked best: those chunks are the candidates.
 
     Pass 2 recomputes each candidate chunk directly, ``e_V - r(u_c) + K_c``,
-    in ascending chunk order.  The best energy is the least of these
-    values; the pick and the count are taken from them against ``atol``.
+    in ascending chunk order and in float64.  The best energy is the least
+    of these values; the pick and the count are taken from them against
+    ``atol``.
     """
     check_brute_force_size(inst.n)
     n, J, h = inst.n, inst.couplings, inst.field
@@ -508,44 +523,42 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
     high = n_bits - low
     V = np.arange(first, first + low)
     C = np.r_[0:first, first + low:n]
-    J_VV, h_V = J[np.ix_(V, V)], h[V]
-    e_V = np.empty(1 << low)
-    e_V[0] = -0.5 * J_VV.sum() - h_V.sum()
-    for b in range(low):
-        m = 1 << b
-        field_b = _signed_sums(J_VV[b, :b]) + (J_VV[b, b + 1:].sum() + h_V[b])
-        e_V[m:2 * m] = e_V[:m] + 2.0 * field_b
+    e_V = _local_energies(J[np.ix_(V, V)], h[V])
     J_VC, J_CC, h_C = J[np.ix_(V, C)], J[np.ix_(C, C)], h[C]
     s_C = np.hstack([np.ones((1 << high, first)), _bit_spins(np.arange(1 << high), high)])
     K = _quadratic_energies(s_C @ J_CC, h_C, s_C)
-    steps = _signed_sums(J_VC[:, first:].T)     # row j: R_j
-    steps *= 2.0
+    e = int(np.frexp(bound)[1])
+    steps = _signed_sums(np.ldexp(J_VC[:, first:].T, 1 - e).astype(np.float32))  # row j: 2 R_j 2^-e
     d = np.empty(1 << low)      # reused: each fresh array faults its pages in anew
 
     def signed_part(c: int) -> np.ndarray:
         """``e_V - r(u_c)`` of chunk c, in ``d``."""
         return np.subtract(e_V, _signed_sums(J_VC @ s_C[c], out=d), out=d)
 
+    d32 = np.empty(1 << low, np.float32)
+    d32[:] = np.ldexp(signed_part(0), -e, out=d)
     walked = np.empty(1 << high)
-    walked[0] = signed_part(0).min()
+    walked[0] = d32.min()
     c = 0
     for t in range(1, 1 << high):
         j = (t & -t).bit_length() - 1
         c ^= 1 << j
         if c >> j & 1:
-            d += steps[j]
+            d32 += steps[j]
         else:
-            d -= steps[j]
-        walked[c] = d.min()
+            d32 -= steps[j]
+        walked[c] = d32.min()
+    np.ldexp(walked, e, out=walked)
     walked += K
 
     def chunk_energies(c: int) -> np.ndarray:
-        e = signed_part(c)
-        e += K[c]
-        return e
+        values = signed_part(c)
+        values += K[c]
+        return values
 
     atol = 1e-9
-    delta = ((1 << high) + 8 * n) * np.finfo(float).eps * bound
+    delta = (((1 << high) + 8 * n) * np.finfo(float).eps
+             + ((1 << high) + 3 * low * high + 1) * np.finfo(np.float32).eps / 2) * bound
     candidates = np.flatnonzero(walked - walked.min() <= atol + 2.0 * delta)
     chunk_min = [chunk_energies(c).min() for c in candidates]
     best_energy = min(chunk_min)
@@ -563,6 +576,32 @@ def brute_force_ground_state(inst: IsingInstance) -> tuple[SpinAssignment, float
     return best, hamiltonian_energy(inst, best), count
 
 
+def _local_energies(J: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Energies of all 2^L assignments of L spins under (J, h), bit b of the
+    index setting spin b to -1, by sign-flip doubling: the indices
+    ``[m, 2m)``, ``m = 2^b``, are the indices ``[0, m)`` with spin b flipped,
+    which raises the energy by twice spin b's local field.  Over those
+    indices that field is the doubling vector of ``J[b, :b]`` offset by
+    ``sum(J[b, b+1:]) + h[b]``.  Row b of one buffer holds that doubling
+    vector in its first 2^b entries, so at bit j one subtract extends every
+    row b > j."""
+    L = h.size
+    fields = np.empty((L, 1 << max(L - 1, 0)))
+    fields[:, 0] = [J[b, :b].sum() for b in range(L)]
+    for j in range(L - 1):
+        m = 1 << j
+        np.subtract(fields[j + 1:, :m], 2.0 * J[j + 1:, j, None], out=fields[j + 1:, m:2 * m])
+    e = np.empty(1 << L)
+    e[0] = -0.5 * J.sum() - h.sum()
+    for b in range(L):
+        m = 1 << b
+        field_b = fields[b, :m]
+        field_b += J[b, b + 1:].sum() + h[b]
+        field_b *= 2.0
+        np.add(e[:m], field_b, out=e[m:2 * m])
+    return e
+
+
 def check_brute_force_size(n: int) -> None:
     """Raise CapacityError when n spins exceed what brute force enumerates."""
     if n > BRUTE_FORCE_MAX_N:
@@ -573,8 +612,8 @@ def _signed_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``r[..., k] = sum_b (1 - 2 bit_b(k)) w[..., b]`` for every k < 2^L, L the
     length of w's last axis, by doubling: ``r[..., 0] = w.sum(-1)``, then
     ``r[..., m:2m] = r[..., :m] - 2 w[..., b]`` for ``m = 2^b``.  Written into
-    ``out`` when given."""
-    r = np.empty(w.shape[:-1] + (1 << w.shape[-1],)) if out is None else out
+    ``out`` when given, else into a new array of w's dtype."""
+    r = np.empty(w.shape[:-1] + (1 << w.shape[-1],), w.dtype) if out is None else out
     r[..., 0] = w.sum(axis=-1)
     # bit axis first, so that a vector's terms are numpy scalars, which a
     # subtract takes faster than one-element arrays

@@ -32,7 +32,7 @@ from oimsim import (
 )
 from oimsim import ising
 from oimsim.cli import main
-from oimsim.ising import _bit_spins, _signed_sums, energies
+from oimsim.ising import _bit_spins, _local_energies, _signed_sums, energies
 
 
 def reference_hamiltonian_energy(inst: IsingInstance, s: SpinAssignment) -> float:
@@ -845,6 +845,83 @@ class TestSplitEnumeration:
         w_rows = rng.integers(-5, 6, (3, k)).astype(float)
         assert np.array_equal(_signed_sums(w_rows), w_rows @ rows.T)
         assert np.array_equal(_signed_sums(w_rows.T.copy().T), w_rows @ rows.T)
+        r32 = _signed_sums(w_rows.astype(np.float32))
+        assert r32.dtype == np.float32
+        assert np.array_equal(r32, w_rows @ rows.T)
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 13])
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_local_energies_match_the_spin_rows(self, k, integer):
+        inst = seeded_instance(k, 500 + k, integer, True)
+        expected = energies(inst, _bit_spins(np.arange(1 << k), k))
+        np.testing.assert_allclose(_local_energies(inst.couplings, inst.field), expected,
+                                   rtol=0, atol=0 if integer else 1e-12)
+
+    # the walk scales by 2^-e, so a power-of-two scale changes no pick and no
+    # count; distinct energies stay at least 2^k > atol apart
+    @pytest.mark.parametrize("k", [30, 300, 900])
+    @pytest.mark.parametrize("with_field", [False, True])
+    def test_power_of_two_scale_keeps_the_answer(self, k, with_field):
+        n = ising._CHUNK_BITS + 4 if with_field else ising._CHUNK_BITS + 5
+        inst = seeded_instance(n, 300 + n, True, with_field)
+        best, energy, count = brute_force_ground_state(inst)
+        scaled = IsingInstance(n=n, couplings=np.ldexp(inst.couplings, k),
+                               field=np.ldexp(inst.field, k) if with_field else None)
+        scaled_best, scaled_energy, scaled_count = brute_force_ground_state(scaled)
+        assert np.array_equal(scaled_best.spins, best.spins)
+        assert scaled_count == count
+        assert scaled_energy == np.ldexp(energy, k)
+
+    # every energy lies within atol of every other: all assignments count,
+    # and the pick is index 0, all spins +1
+    @pytest.mark.parametrize("with_field", [False, True])
+    def test_tiny_scale_makes_every_assignment_a_minimizer(self, with_field):
+        n = ising._CHUNK_BITS + 4 if with_field else ising._CHUNK_BITS + 5
+        inst = seeded_instance(n, 300 + n, True, with_field)
+        tiny = IsingInstance(n=n, couplings=np.ldexp(inst.couplings, -1000),
+                             field=np.ldexp(inst.field, -1000) if with_field else None)
+        best, energy, count = brute_force_ground_state(tiny)
+        assert count == 1 << (n if with_field else n - 1)
+        assert best.spins.tolist() == [1.0] * n
+        assert energy == np.ldexp(hamiltonian_energy(inst, best), -1000)
+
+    def test_pass_2_separates_minima_the_walk_cannot(self):
+        # V spins 0-13, each held at +1 by a field of 8; C spins 14 and 15,
+        # a ferromagnetic pair of 50.  J_{0,14} = -eps puts the best state of
+        # chunk 3 (spins 14, 15 at -1) 2 eps below that of chunk 0 (both
+        # +1): more than atol, less than the float32 walk resolves at
+        # bound ~ 2^9.4, so both chunks walk to the same minimum
+        n, eps = ising._CHUNK_BITS + 2, 5e-7
+        J = np.zeros((n, n))
+        J[n - 2, n - 1] = J[n - 1, n - 2] = 50.0
+        J[0, n - 2] = J[n - 2, 0] = -eps
+        field = np.r_[np.full(n - 2, 8.0), 0.0, 0.0]
+        inst = IsingInstance(n=n, couplings=J, field=field)
+        e = int(np.frexp(4.0 * (50.0 + eps + 8.0 * (n - 2)))[1])
+        walked = np.float32(np.ldexp(-8.0 * (n - 2) - eps, -e))
+        assert walked == np.float32(np.ldexp(-8.0 * (n - 2) + eps, -e))
+        best, energy, count = brute_force_ground_state(inst)
+        assert best.spins.tolist() == [1.0] * (n - 2) + [-1.0, -1.0]
+        assert count == 1
+        assert energy == -50.0 - eps - 8.0 * (n - 2)
+        assert_same_as_reference(inst, exact=True)
+
+    # couplings of 1e20 on a path 1 - (n-1) - (n-2) - 2 that crosses V and C,
+    # and of at most 3 elsewhere: neither pass sees the small ones beside the
+    # path's -3e20, so every assignment that satisfies the path's three
+    # couplings is a minimizer, and the window must admit every chunk that
+    # holds one
+    def test_huge_weights_beside_unit_ones(self):
+        n = ising._CHUNK_BITS + 5
+        inst = seeded_instance(n, 400, True, False)
+        J = inst.couplings.copy()
+        for a, b, w in ((1, n - 1, 1e20), (2, n - 2, -1e20), (n - 1, n - 2, 1e20)):
+            J[a, b] = J[b, a] = w
+        inst = IsingInstance(n=n, couplings=J)
+        best, energy, count = brute_force_ground_state(inst)
+        assert energy == -3e20
+        assert count == 1 << (n - 4)
+        assert_same_as_reference(inst, exact=True)
 
     def test_memory_stays_below_the_spin_block(self):
         # a (2^16, 16) block of float spin rows alone is 8 MiB; at n = 24 with
