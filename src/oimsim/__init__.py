@@ -1,17 +1,17 @@
-"""Phase-domain simulator and max-cut solver for oscillator-based Ising machines."""
+"""Phase-domain simulator and max-cut solver for oscillator-based Ising machines.
 
-from .dynamics import (
-    DynamicsConfig,
-    InjectionVariant,
-    Mode,
-    PhaseState,
-    make_rhs,
-    potential_energy,
-    rhs,
-)
+The package exports what the README and the demos use.  The scalar views
+of one state (``dynamics.rhs``, ``dynamics.potential_energy``,
+``metrics.order_parameter``, ``metrics.phase_lock_error``,
+``metrics.binarize``) and the types of values the drivers return
+(``dynamics.PhaseState``, ``integrate.Trajectory``,
+``metrics.MetricTraces``, ``experiments.ComparisonSummary``) stay in their
+submodules.
+"""
+
+from .dynamics import DynamicsConfig, InjectionVariant, Mode, make_rhs
 from .errors import CapacityError, ConfigError, DivergenceError, GraphParseError
 from .experiments import (
-    ComparisonSummary,
     SolveResult,
     SweepRow,
     SweepSpec,
@@ -21,7 +21,7 @@ from .experiments import (
     solve,
     sweep_to_csv,
 )
-from .integrate import IntegratorConfig, Trajectory, initial_phases, integrate, trajectory_to_csv
+from .integrate import IntegratorConfig, initial_phases, integrate, trajectory_to_csv
 from .ising import (
     IsingInstance,
     MaxCutInstance,
@@ -34,23 +34,12 @@ from .ising import (
     random_instance,
     serialize_graph,
 )
-from .metrics import (
-    LockReport,
-    MetricTraces,
-    binarize,
-    compute_traces,
-    lock_time,
-    order_parameter,
-    phase_lock_error,
-    score_trajectory,
-    traces_to_csv,
-)
+from .metrics import LockReport, compute_traces, lock_time, score_trajectory, traces_to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "ComparisonSummary",
     "ConfigError",
     "DivergenceError",
     "DynamicsConfig",
@@ -60,15 +49,11 @@ __all__ = [
     "IsingInstance",
     "LockReport",
     "MaxCutInstance",
-    "MetricTraces",
     "Mode",
-    "PhaseState",
     "SolveResult",
     "SpinAssignment",
     "SweepRow",
     "SweepSpec",
-    "Trajectory",
-    "binarize",
     "brute_force_ground_state",
     "compare_modes",
     "compute_traces",
@@ -79,17 +64,14 @@ __all__ = [
     "ising_from_maxcut",
     "lock_time",
     "make_rhs",
-    "order_parameter",
     "parse_graph",
-    "phase_lock_error",
-    "potential_energy",
     "random_instance",
     "reference_graph",
-    "rhs",
     "run_sweep",
     "score_trajectory",
     "serialize_graph",
     "solve",
     "sweep_to_csv",
     "trajectory_to_csv",
+    "traces_to_csv",
 ]

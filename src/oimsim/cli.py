@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 from .dynamics import DynamicsConfig
-from .errors import CapacityError, ConfigError, DivergenceError, GraphParseError
+from .errors import CapacityError, ConfigError, DivergenceError
 from .experiments import (
     SweepSpec,
     compare_modes,
@@ -154,10 +154,12 @@ def _run_settings(cfg: dict, args) -> tuple[DynamicsConfig, IntegratorConfig, di
 
 
 def _load_graph_file(path: str | Path) -> MaxCutInstance:
+    """The graph in the file at ``path``; a file that cannot be read is an
+    input error, as a malformed one is, but names no line."""
     try:
         text = Path(path).read_text()
     except OSError as err:
-        raise GraphParseError(f"cannot read graph {path}: {err}", 0) from err
+        raise ValueError(f"cannot read graph {path}: {err}") from err
     return parse_graph(text)
 
 
@@ -425,7 +427,8 @@ def main(argv=None) -> int:
         print(f"oimsim {args.command}: error: {err}", file=sys.stderr)
         return EXIT_CAPACITY
     except ValueError as err:
-        # covers GraphParseError, ConfigError, and re-validated numeric bounds
+        # covers GraphParseError, ConfigError, an unreadable graph file, and
+        # re-validated numeric bounds
         print(f"oimsim {args.command}: error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as err:

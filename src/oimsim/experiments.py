@@ -87,8 +87,8 @@ class ComparisonSummary:
     median_lock_centralized: float | None
     speedup: float | None
     win_fraction: float | None
-    median_error_distributed: float
-    median_error_centralized: float
+    median_error_distributed: float | None
+    median_error_centralized: float | None
     n_seeds: int
     n_locked_pairs: int
     non_locking_modes: tuple = ()
@@ -113,7 +113,6 @@ class _Run:
     carries its error, no lock time and NaN observables."""
 
     lock_time: float | None = None
-    locked: bool = False
     final_R: float = math.nan
     final_error: float = math.nan
     spins: SpinAssignment | None = None
@@ -144,12 +143,10 @@ def _run_once(
     except DivergenceError as err:
         return _Run(error=err)
     r = _order_parameters(traj.states)
-    report = _lock_report(r, traj.times, threshold, hold_samples)
     _, final_error = _circular_stats(traj.states[-1:])
     spins, energy, cut = score_trajectory(traj, inst, g, dyn)
     return _Run(
-        lock_time=report.lock_time,
-        locked=report.locked,
+        lock_time=_lock_report(r, traj.times, threshold, hold_samples),
         final_R=float(r[-1]),
         final_error=float(final_error[0]),
         spins=spins,
@@ -225,7 +222,8 @@ def compare_modes(
     """Paired distributed/centralized runs sharing initial phases per seed.
 
     Reports the ratio of median lock times, the fraction of locked pairs
-    where distributed is strictly faster, and median final errors.  A mode
+    where distributed is strictly faster, and each mode's median final error
+    over its completed (not diverged) runs, None if none completed.  A mode
     with fewer than half its runs locked is flagged as non-locking and
     contributes no median lock time.
     """
@@ -240,7 +238,7 @@ def compare_modes(
     # runs alternate distributed, centralized; both of a seed share its init
     by_mode = {mode.value: runs[k::len(modes)] for k, mode in enumerate(modes)}
     locks = {m: [r.lock_time for r in rs] for m, rs in by_mode.items()}
-    errors = {m: [r.final_error for r in rs] for m, rs in by_mode.items()}
+    errors = {m: _median(r.final_error for r in rs if r.error is None) for m, rs in by_mode.items()}
     non_locking = tuple(
         m for m in ("distributed", "centralized")
         if sum(t is not None for t in locks[m]) < len(seeds) / 2
@@ -262,8 +260,8 @@ def compare_modes(
         median_lock_centralized=med["centralized"],
         speedup=speedup,
         win_fraction=(wins / len(pairs)) if pairs else None,
-        median_error_distributed=float(np.median(errors["distributed"])),
-        median_error_centralized=float(np.median(errors["centralized"])),
+        median_error_distributed=errors["distributed"],
+        median_error_centralized=errors["centralized"],
         n_seeds=len(seeds),
         n_locked_pairs=len(pairs),
         non_locking_modes=non_locking,
@@ -296,7 +294,7 @@ def solve(
         cut=best.cut,
         energy=best.energy,
         attempts=attempts,
-        lock_fraction=sum(r.locked for _, r in completed) / len(completed),
+        lock_fraction=sum(r.lock_time is not None for _, r in completed) / len(completed),
         best_seed=best_seed,
     )
 

@@ -65,10 +65,13 @@ class MetricTraces:
 
 @dataclass(frozen=True)
 class LockReport:
+    """The start time of the first lock window, None when there is none."""
+
     lock_time: float | None
-    threshold: float
-    hold_samples: int
-    locked: bool
+
+    @property
+    def locked(self) -> bool:
+        return self.lock_time is not None
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
@@ -162,20 +165,18 @@ def lock_time(
     """Earliest sample time where R stays >= threshold for hold_samples samples."""
     r = traces.order_parameter
     check_lock_params(threshold, hold_samples, r.size)
-    return _lock_report(r, times, threshold, hold_samples)
+    return LockReport(_lock_report(r, times, threshold, hold_samples))
 
 
 def _lock_report(
     r: np.ndarray, times: np.ndarray, threshold: float, hold_samples: int
-) -> LockReport:
+) -> float | None:
     """The lock-window rule over an order-parameter vector with checked
     parameters: the first time from which r >= threshold for hold_samples
-    samples."""
+    samples, None if there is none."""
     windows = np.lib.stride_tricks.sliding_window_view(r >= threshold, hold_samples).all(axis=1)
     hits = np.flatnonzero(windows)
-    if hits.size == 0:
-        return LockReport(None, threshold, hold_samples, False)
-    return LockReport(float(times[hits[0]]), threshold, hold_samples, True)
+    return float(times[hits[0]]) if hits.size else None
 
 
 def binarize(state: PhaseState, reference: float = 0.0) -> SpinAssignment:

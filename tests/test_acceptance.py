@@ -22,10 +22,8 @@ from oimsim import (
     IntegratorConfig,
     IsingInstance,
     Mode,
-    PhaseState,
     SpinAssignment,
     SweepSpec,
-    binarize,
     brute_force_ground_state,
     compare_modes,
     cut_value,
@@ -33,17 +31,15 @@ from oimsim import (
     initial_phases,
     integrate,
     ising_from_maxcut,
-    order_parameter,
     parse_graph,
-    phase_lock_error,
-    potential_energy,
     random_instance,
     reference_graph,
-    rhs,
     run_sweep,
     solve,
 )
 from oimsim.cli import data_path
+from oimsim.dynamics import PhaseState, potential_energy, rhs
+from oimsim.metrics import binarize, order_parameter, phase_lock_error
 
 # transistor-level OIM implementations report roughly a 3.2x
 # centralized-to-distributed lock-time ratio; shown for context, never

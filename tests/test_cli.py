@@ -62,9 +62,20 @@ class TestSolveCommand:
         assert proc.returncode == 2
         assert "line 2" in proc.stderr
 
-    def test_missing_graph(self, tmp_path):
-        proc = run_cli("solve", tmp_path / "nope.graph")
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_missing_graph(self, tmp_path, command):
+        missing = tmp_path / "nope.graph"
+        proc = run_cli(command, missing)
         assert proc.returncode == 2
+        # the path and the OS error, and no line number: no line was read
+        assert proc.stderr == (f"oimsim {command}: error: cannot read graph {missing}: "
+                               f"[Errno 2] No such file or directory: '{missing}'\n")
+
+    def test_graph_path_that_is_a_directory(self, tmp_path):
+        proc = run_cli("oracle", tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"oimsim oracle: error: cannot read graph {tmp_path}: ")
+        assert "line" not in proc.stderr
 
     def test_zero_attempts_is_usage_error(self):
         proc = run_cli("solve", TRIANGLE, "--attempts", "0")
@@ -240,6 +251,25 @@ class TestCompareCommand:
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, load_schema("comparison_summary.schema.json"))
         assert doc["n_seeds"] == 10
+
+    def test_diverged_runs_give_strict_json(self, tmp_path):
+        # sigma = 1e308 overflows the RHS, so every run of both modes diverges
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({
+            "graph": None,
+            "dynamics": {"sigma": 1e308, "kappa_s": 0.5, "injection_variant": "adler"},
+            "integrator": {"dt": 0.5, "t_end": 30.0, "record_every": 1},
+            "compare": {"seeds": list(range(10))},
+        }))
+        out = tmp_path / "diverge.out.json"
+        assert run_cli("compare", cfg, out, "--quiet").returncode == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        jsonschema.validate(doc, load_schema("comparison_summary.schema.json"))
+        assert doc["median_error_distributed"] is None
+        assert doc["median_error_centralized"] is None
 
     def test_byte_identical_across_threads(self, tmp_path):
         cfg = write_tiny_compare_config(tmp_path / "cmp.json")

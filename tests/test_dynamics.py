@@ -18,14 +18,11 @@ from oimsim import (
     InjectionVariant,
     IsingInstance,
     Mode,
-    PhaseState,
     SpinAssignment,
     hamiltonian_energy,
-    potential_energy,
-    rhs,
 )
 from oimsim import ising
-from oimsim.dynamics import make_rhs
+from oimsim.dynamics import PhaseState, make_rhs, potential_energy, rhs
 from oimsim.experiments import reference_graph
 from oimsim.integrate import IntegratorConfig, initial_phases, integrate
 from oimsim.ising import ising_from_maxcut, random_instance

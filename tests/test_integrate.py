@@ -12,15 +12,12 @@ from oimsim import (
     IntegratorConfig,
     IsingInstance,
     Mode,
-    PhaseState,
-    Trajectory,
     initial_phases,
     integrate,
-    potential_energy,
     trajectory_to_csv,
 )
-from oimsim.dynamics import make_rhs
-from oimsim.integrate import _noise_rng
+from oimsim.dynamics import PhaseState, make_rhs, potential_energy
+from oimsim.integrate import Trajectory, _noise_rng
 
 
 def pair(j12=1.0):

@@ -18,7 +18,6 @@ from oimsim import (
     IsingInstance,
     MaxCutInstance,
     Mode,
-    PhaseState,
     SpinAssignment,
     brute_force_ground_state,
     cut_value,
@@ -26,12 +25,12 @@ from oimsim import (
     ising_from_maxcut,
     make_rhs,
     parse_graph,
-    potential_energy,
     random_instance,
     serialize_graph,
 )
 from oimsim import ising
 from oimsim.cli import main
+from oimsim.dynamics import PhaseState, potential_energy
 from oimsim.ising import _bit_spins, _local_energies, _signed_sums, energies
 
 

@@ -11,23 +11,20 @@ from oimsim import (
     IntegratorConfig,
     IsingInstance,
     MaxCutInstance,
-    MetricTraces,
     Mode,
-    PhaseState,
     SpinAssignment,
-    Trajectory,
-    binarize,
     compute_traces,
     cut_value,
     integrate,
     ising_from_maxcut,
     lock_time,
-    order_parameter,
-    phase_lock_error,
     score_trajectory,
     traces_to_csv,
 )
-from oimsim.metrics import _order_parameters
+from oimsim.dynamics import PhaseState
+from oimsim.integrate import Trajectory
+from oimsim.metrics import (MetricTraces, _order_parameters, binarize, order_parameter,
+                            phase_lock_error)
 
 
 def _wrap(x):
