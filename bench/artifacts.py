@@ -19,6 +19,9 @@ default flags, in the environment that ``harness.py`` sets (that checkout's
   which the output echoes;
 - every script in ``demos/``: its standard output.
 
+Every JSON text among them, each ``solve``, ``oracle`` and ``compare``
+output and each sweep CSV's ``# config:`` line, must parse as strict JSON:
+a ``NaN`` or ``Infinity`` token makes the script exit 1 and write nothing.
 It prints one ``name sha256`` line per output, and ``ARTIFACTS_<commit>.json``
 at the root of the checkout records the digests with the host record of
 ``harness.py``.  No digest is pinned: BLAS kernels differ across CPUs, so
@@ -27,6 +30,7 @@ compare the files of two commits taken on one host.
 from __future__ import annotations
 
 import hashlib
+import json
 import subprocess
 import sys
 import tempfile
@@ -55,6 +59,25 @@ def run(args: list[str]) -> bytes:
     return proc.stdout
 
 
+def _refuse(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def check_strict_json(name: str, data: bytes) -> None:
+    """Exit 1 unless the JSON text of output ``name`` parses as strict JSON:
+    all of it, or for a sweep CSV its ``# config:`` line."""
+    text = data.decode()
+    if name in FILE_OUTPUTS and FILE_OUTPUTS[name][0] == "sweep":
+        first = text.partition("\n")[0]
+        if not first.startswith("# config: "):
+            raise SystemExit(f"{name}: no '# config:' line")
+        text = first.removeprefix("# config: ")
+    try:
+        json.loads(text, parse_constant=_refuse)
+    except ValueError as err:
+        raise SystemExit(f"{name}: not strict JSON: {err}") from err
+
+
 def outputs():
     """(name, bytes) of every output, in a fixed order."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -71,6 +94,8 @@ def outputs():
 def main() -> int:
     digests = {}
     for name, data in outputs():
+        if name in FILE_OUTPUTS or name in STDOUT_OUTPUTS:
+            check_strict_json(name, data)
         digests[name] = hashlib.sha256(data).hexdigest()
         print(f"{name:<26} {digests[name]}", flush=True)
     write_result("ARTIFACTS", {"artifacts": digests})

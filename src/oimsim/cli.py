@@ -2,8 +2,9 @@
 
 Configuration precedence is flags over JSON config file over built-in
 defaults, and the effective configuration is echoed into every output
-artifact.  Exit codes: 0 success, 2 input parse error, 3 solver failure,
-4 capacity exceeded, 5 output I/O failure, 64 usage error.
+artifact.  Exit codes: 0 success, 2 input parse error, 3 every run of a
+solve, sweep or compare diverged (and no file was written), 4 capacity
+exceeded, 5 output I/O failure, 64 usage error.
 """
 from __future__ import annotations
 
@@ -103,6 +104,10 @@ def _merge(base: dict, override: dict, crumb: str = "") -> dict:
     return out
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_effective_config(
     config_path: str | None, command_overrides: dict | None = None
 ) -> tuple[dict, Path | None]:
@@ -114,10 +119,10 @@ def load_effective_config(
     if config_path is not None:
         path = Path(config_path)
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(path.read_text(), parse_constant=_refuse_constant)
         except OSError as err:
             raise ConfigError(f"cannot read config {config_path}: {err}") from err
-        except json.JSONDecodeError as err:
+        except ValueError as err:      # JSONDecodeError, or a refused constant
             raise ConfigError(f"invalid JSON in {config_path}: {err}") from err
         if not isinstance(raw, dict):
             raise ConfigError(f"config {config_path} must be a JSON object")
@@ -207,8 +212,9 @@ def _slice_config(cfg: dict, *sections: str) -> dict:
     return {k: copy.deepcopy(cfg[k]) for k in ("graph", *sections)}
 
 
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _json(doc: dict, indent: int | None = 2) -> str:
+    """Every artifact's JSON text: sorted keys, a ValueError for NaN or infinity."""
+    return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
 
 
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
@@ -323,19 +329,15 @@ def cmd_solve(args) -> int:
     cfg["graph"] = str(args.graph)
     g = _load_graph_file(args.graph)
     dyn, icfg, settings = _run_settings(cfg, args)
-    try:
-        result = solve(g, cfg["solve"]["attempts"], dyn, icfg, **settings)
-    except DivergenceError as err:
-        print(f"oimsim solve: all attempts diverged: {err}", file=sys.stderr)
-        return EXIT_SOLVER
-    _print_json({
+    result = solve(g, cfg["solve"]["attempts"], dyn, icfg, **settings)
+    print(_json({
         "cut": result.cut,
         "energy": result.energy,
         "spins": [int(s) for s in result.spins.spins],
         "attempts": result.attempts,
         "lock_fraction": result.lock_fraction,
         "config": _slice_config(cfg, "dynamics", "integrator", "lock", "solve"),
-    })
+    }))
     return EXIT_OK
 
 
@@ -344,12 +346,12 @@ def cmd_oracle(args) -> int:
     check_brute_force_size(g.n)     # before the dense n x n couplings are built
     inst = ising_from_maxcut(g)
     best, energy, degeneracy = brute_force_ground_state(inst)
-    _print_json({
+    print(_json({
         "max_cut": cut_value(g, best),
         "ground_energy": energy,
         "degeneracy": degeneracy,
         "graph": str(args.graph),
-    })
+    }))
     return EXIT_OK
 
 
@@ -357,18 +359,10 @@ def cmd_sweep(args) -> int:
     cfg, config_dir = _config(args)
     g = _resolve_config_graph(cfg, config_dir)
     dyn, icfg, settings = _run_settings(cfg, args)
-    spec = SweepSpec(
-        parameter=cfg["sweep"]["parameter"],
-        values=tuple(cfg["sweep"]["values"]),
-        seeds=tuple(cfg["sweep"]["seeds"]),
-        base_dynamics=dyn,
-        base_integrator=icfg,
-        graph=g,
-    )
+    spec = SweepSpec(**cfg["sweep"], base_dynamics=dyn, base_integrator=icfg, graph=g)
     rows = run_sweep(spec, **settings)
     echo = _slice_config(cfg, "dynamics", "integrator", "lock", "sweep")
-    text = sweep_to_csv(spec.parameter, rows,
-                        config_comment=json.dumps(echo, sort_keys=True))
+    text = sweep_to_csv(spec.parameter, rows, config_comment=_json(echo, indent=None))
     _atomic_write(Path(args.out), text)
     _info(args, f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -381,7 +375,7 @@ def cmd_compare(args) -> int:
     summary = compare_modes(g, dyn, icfg, seeds=cfg["compare"]["seeds"], **settings)
     doc = dataclasses.asdict(summary)
     doc["config"] = _slice_config(cfg, "dynamics", "integrator", "lock", "compare")
-    _atomic_write(Path(args.out), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(Path(args.out), _json(doc) + "\n")
     _info(args, f"wrote comparison to {args.out}")
     return EXIT_OK
 
@@ -426,6 +420,9 @@ def main(argv=None) -> int:
     except CapacityError as err:
         print(f"oimsim {args.command}: error: {err}", file=sys.stderr)
         return EXIT_CAPACITY
+    except DivergenceError as err:
+        print(f"oimsim {args.command}: error: every run diverged: {err}", file=sys.stderr)
+        return EXIT_SOLVER
     except ValueError as err:
         # covers GraphParseError, ConfigError, an unreadable graph file, and
         # re-validated numeric bounds

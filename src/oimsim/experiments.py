@@ -159,7 +159,8 @@ def _runs(graph: MaxCutInstance, icfg: IntegratorConfig, jobs: Sequence[tuple[Dy
           threshold: float, hold_samples: int, threads: int) -> list[_Run]:
     """The run of each (dynamics, seed) job on the graph, in job order, with
     icfg's seed replaced by the job's: checks and couplings once per call,
-    initial phases once per seed, on a thread pool when ``threads > 1``."""
+    initial phases once per seed, on a thread pool when ``threads > 1``.
+    Raises the last job's DivergenceError if every run diverged."""
     check_lock_params(threshold, hold_samples, icfg.n_samples)
     inst = ising_from_maxcut(graph)
     inits = {seed: initial_phases(inst.n, seed) for seed in dict.fromkeys(s for _, s in jobs)}
@@ -170,9 +171,13 @@ def _runs(graph: MaxCutInstance, icfg: IntegratorConfig, jobs: Sequence[tuple[Dy
                          threshold, hold_samples)
 
     if threads <= 1 or len(jobs) <= 1:
-        return [run(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, jobs))
+        runs = [run(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            runs = list(pool.map(run, jobs))
+    if all(r.error is not None for r in runs):
+        raise runs[-1].error
+    return runs
 
 
 def run_sweep(
@@ -184,8 +189,8 @@ def run_sweep(
     """One row per (grid value, seed, routing mode), in canonical order.
 
     Every run with the same seed starts from the same initial phases.  A
-    diverged run yields a row with empty lock time and NaN observables
-    rather than aborting the sweep.
+    diverged run yields a row with empty lock time and NaN observables (``nan`` CSV cells)
+    rather than aborting the sweep; the last DivergenceError is raised if every run diverged.
     """
     grid = [
         (value, seed, mode)
@@ -225,7 +230,7 @@ def compare_modes(
     where distributed is strictly faster, and each mode's median final error
     over its completed (not diverged) runs, None if none completed.  A mode
     with fewer than half its runs locked is flagged as non-locking and
-    contributes no median lock time.
+    contributes no median lock time.  Raises the last DivergenceError if every run diverged.
     """
     for s in seeds:
         check_int("compare.seeds", s, minimum=0)
@@ -286,8 +291,6 @@ def solve(
     seeds = [icfg.seed + k for k in range(attempts)]
     runs = _runs(g, icfg, [(dyn, seed) for seed in seeds], threshold, hold_samples, threads)
     completed = [(seed, r) for seed, r in zip(seeds, runs) if r.error is None]
-    if not completed:
-        raise runs[-1].error
     best_seed, best = max(completed, key=lambda item: item[1].cut)
     return SolveResult(
         spins=best.spins,

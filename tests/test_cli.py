@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, schemas, determinism."""
 import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -28,6 +29,16 @@ def load_schema(name):
     return json.loads((SCHEMA_DIR / name).read_text())
 
 
+def _refuse(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_loads(text):
+    """A CLI output parsed as strict JSON: ``NaN`` and ``Infinity`` refused,
+    since json.loads would read them and jsonschema pass them as numbers."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 def write_tiny_sweep_config(path: Path) -> Path:
     cfg = {
         "sweep": {"parameter": "sigma", "values": [0.01, 1.0], "seeds": [0, 1]},
@@ -51,7 +62,7 @@ class TestSolveCommand:
     def test_triangle_fixture(self):
         proc = run_cli("solve", TRIANGLE, "--quiet")
         assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+        doc = strict_loads(proc.stdout)
         jsonschema.validate(doc, load_schema("solve_result.schema.json"))
         assert doc["cut"] == 2.0
 
@@ -92,7 +103,7 @@ class TestOracleCommand:
     def test_triangle(self):
         proc = run_cli("oracle", TRIANGLE)
         assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+        doc = strict_loads(proc.stdout)
         jsonschema.validate(doc, load_schema("oracle_result.schema.json"))
         assert doc["max_cut"] == 2.0
         assert doc["degeneracy"] == 3
@@ -102,8 +113,8 @@ class TestOracleCommand:
         pos.write_text("2 1\n1 2 1\n")
         neg = tmp_path / "neg.graph"
         neg.write_text("2 1\n1 2 -5\n")
-        assert json.loads(run_cli("oracle", pos).stdout)["max_cut"] == 1.0
-        assert json.loads(run_cli("oracle", neg).stdout)["max_cut"] == 0.0
+        assert strict_loads(run_cli("oracle", pos).stdout)["max_cut"] == 1.0
+        assert strict_loads(run_cli("oracle", neg).stdout)["max_cut"] == 0.0
 
     def test_all_negative_weights_give_a_zero_max_cut(self, tmp_path, capsys):
         # (W - E)/2 rounds to -4.4e-16 here; the cut of the returned spins is 0
@@ -118,7 +129,7 @@ class TestOracleCommand:
         path = tmp_path / "g.graph"
         path.write_text(serialize_graph(g))
         assert cli.main(["oracle", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["max_cut"] == 0.0
+        assert strict_loads(capsys.readouterr().out)["max_cut"] == 0.0
 
     def test_overflowing_energies_exit_code(self, tmp_path, capsys):
         from oimsim import cli
@@ -248,28 +259,9 @@ class TestCompareCommand:
         out = tmp_path / "cmp.out.json"
         proc = run_cli("compare", cfg, out, "--quiet")
         assert proc.returncode == 0
-        doc = json.loads(out.read_text())
+        doc = strict_loads(out.read_text())
         jsonschema.validate(doc, load_schema("comparison_summary.schema.json"))
         assert doc["n_seeds"] == 10
-
-    def test_diverged_runs_give_strict_json(self, tmp_path):
-        # sigma = 1e308 overflows the RHS, so every run of both modes diverges
-        cfg = tmp_path / "diverge.json"
-        cfg.write_text(json.dumps({
-            "graph": None,
-            "dynamics": {"sigma": 1e308, "kappa_s": 0.5, "injection_variant": "adler"},
-            "integrator": {"dt": 0.5, "t_end": 30.0, "record_every": 1},
-            "compare": {"seeds": list(range(10))},
-        }))
-        out = tmp_path / "diverge.out.json"
-        assert run_cli("compare", cfg, out, "--quiet").returncode == 0
-
-        def refuse(name):
-            raise ValueError(f"{name} is not JSON")
-        doc = json.loads(out.read_text(), parse_constant=refuse)
-        jsonschema.validate(doc, load_schema("comparison_summary.schema.json"))
-        assert doc["median_error_distributed"] is None
-        assert doc["median_error_centralized"] is None
 
     def test_byte_identical_across_threads(self, tmp_path):
         cfg = write_tiny_compare_config(tmp_path / "cmp.json")
@@ -279,6 +271,65 @@ class TestCompareCommand:
             assert run_cli("compare", cfg, out, "--threads", threads, "--quiet").returncode == 0
             digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
         assert len(digests) == 1
+
+
+class TestDivergedRuns:
+    @pytest.mark.parametrize("command", ["solve", "sweep", "compare"])
+    def test_every_run_diverged_writes_nothing(self, tmp_path, command):
+        # sigma = 1e308 overflows the RHS, so every run diverges; the sweep
+        # grid is the one value, or its default grid would replace it
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({
+            "graph": None,
+            "dynamics": {"sigma": 1e308, "kappa_s": 0.5, "injection_variant": "adler"},
+            "integrator": {"dt": 0.5, "t_end": 30.0, "record_every": 1},
+            "sweep": {"parameter": "sigma", "values": [1e308], "seeds": [0, 1, 2]},
+            "compare": {"seeds": list(range(10))},
+        }))
+        out = tmp_path / "diverge.out"
+        if command == "solve":
+            proc = run_cli("solve", TRIANGLE, "--config", cfg, "--quiet")
+        else:
+            proc = run_cli(command, cfg, out, "--quiet")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert re.search(rf"^oimsim {command}: error: every run diverged: "
+                         r"non-finite phase state at step \d+$", proc.stderr, re.M)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["diverge.json"]
+
+    def test_partly_diverged_compare_is_strict_json(self, tmp_path, monkeypatch, capsys):
+        import oimsim.experiments
+        from oimsim import cli
+        from oimsim.errors import DivergenceError
+
+        real = oimsim.experiments.integrate
+
+        def integrate(inst, dyn, icfg, init):
+            if icfg.seed == 3:
+                raise DivergenceError(0)
+            return real(inst, dyn, icfg, init)
+
+        monkeypatch.setattr(oimsim.experiments, "integrate", integrate)
+        cfg = write_tiny_compare_config(tmp_path / "cmp.json")
+        out = tmp_path / "cmp.out.json"
+        assert cli.main(["compare", str(cfg), str(out), "--quiet"]) == 0
+        assert capsys.readouterr() == ("", "")
+        doc = strict_loads(out.read_text())
+        jsonschema.validate(doc, load_schema("comparison_summary.schema.json"))
+        assert doc["n_seeds"] == 10
+        assert doc["median_error_distributed"] is not None
+        assert doc["median_error_centralized"] is not None
+
+
+class TestJSONEncoder:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_numbers(self, value):
+        from oimsim import cli
+
+        with pytest.raises(ValueError):
+            cli._json({"a": [1.0, {"b": value}]})
+        with pytest.raises(ValueError):
+            cli._json({"a": value}, indent=None)
 
 
 class TestOutputMode:
@@ -432,9 +483,14 @@ class TestConfigHandling:
         ("sweep", {"sweep": {"values": None}}, [], "config key 'sweep.values' must be an array"),
         ("sweep", {"graph": 5}, [], "config key 'graph' must be a string or null"),
         ("compare", {"compare": {"seeds": 7}}, [], "config key 'compare.seeds' must be an array"),
+        # json.dumps writes these as the non-JSON tokens NaN, Infinity and -Infinity
+        ("solve", {"sweep": {"values": [math.nan]}}, [], "NaN is not a JSON number"),
+        ("sweep", {"dynamics": {"sigma": math.inf}}, [], "Infinity is not a JSON number"),
+        ("compare", {"lock": {"threshold": -math.inf}}, [], ": -Infinity is not a JSON number"),
     ], ids=["freqs-bool", "freqs-str", "freqs-length", "seed-flag", "sweep-seeds",
             "compare-seeds", "sweep-values-number", "sweep-seeds-number", "sweep-values-null",
-            "graph-number", "compare-seeds-number"])
+            "graph-number", "compare-seeds-number", "nan-token", "infinity-token",
+            "minus-infinity-token"])
     def test_config_faults_name_their_key(
         self, tmp_path, monkeypatch, capsys, command, doc, flags, message
     ):

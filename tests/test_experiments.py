@@ -444,12 +444,25 @@ class TestDivergedRuns:
         assert result.attempts == 4
         assert result.lock_fraction == 1.0
 
-    def test_all_diverged_reraises_last_error(self, diverge_for):
+    @pytest.mark.parametrize("driver, last_step", [
+        # solve: seeds 0-2 at sigma 1, distributed
+        (lambda g, dyn, icfg: solve(g, 3, dyn, icfg, threads=2), 210),
+        # compare: (seed, mode) jobs, seed 9 centralized last
+        (lambda g, dyn, icfg: compare_modes(g, dyn, icfg, seeds=range(10), threads=2), 911),
+        # sweep: (value, seed, mode) jobs, sigma 2, seed 2 distributed last
+        (lambda g, dyn, icfg: run_sweep(SweepSpec("sigma", (1.0, 2.0), (0, 1, 2), dyn, icfg, g),
+                                        threads=2), 220),
+    ], ids=["solve", "compare", "sweep"])
+    def test_all_diverged_reraises_last_error(self, monkeypatch, driver, last_step):
+        # each job's error names it: 100 seed + 10 sigma + 1 if centralized
+        def integrate(inst, dyn, icfg, init):
+            raise DivergenceError(int(100 * icfg.seed + 10 * dyn.sigma)
+                                  + (dyn.mode is Mode.CENTRALIZED))
+        monkeypatch.setattr(importlib.import_module("oimsim.experiments"), "integrate", integrate)
         g = MaxCutInstance(n=2, edges=((0, 1, 1.0),))
-        diverge_for({0, 1, 2})
         with pytest.raises(DivergenceError) as exc:
-            solve(g, 3, DynamicsConfig(), short_integrator(), threads=2)
-        assert exc.value.step == 2
+            driver(g, DynamicsConfig(), short_integrator())
+        assert exc.value.step == last_step
 
     def test_compare_median_error_is_over_completed_runs(self, diverge_for):
         g, dyn, icfg = reference_graph(), DynamicsConfig(), short_integrator()
